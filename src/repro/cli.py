@@ -137,18 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=0,
                        help="scoring shard processes (0 = score in-process); "
                             "shards respawn automatically on crash")
-    serve.add_argument("--frontend", choices=["eventloop", "threaded"],
-                       default="eventloop",
-                       help="connection front end: one selectors loop thread "
-                            "(eventloop, default) or thread-per-connection")
-    serve.add_argument("--transport", choices=["shm", "pipe"], default="shm",
-                       help="dispatcher<->shard frame transport: shared-memory "
-                            "slot rings (default) or pickled pipes")
-    serve.add_argument("--ring-slots", type=int, default=8,
-                       help="slots per shared-memory ring (shm transport)")
-    serve.add_argument("--ring-slot-bytes", type=int, default=1 << 20,
-                       help="payload capacity per ring slot; larger frames "
-                            "fall back to the pipe")
     serve.add_argument("--verbose", action="store_true",
                        help="log one line per request")
 
@@ -368,10 +356,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             deadline_ms=args.deadline_ms,
             verbose=args.verbose,
             workers=args.workers,
-            frontend=args.frontend,
-            transport=args.transport,
-            ring_slots=args.ring_slots,
-            ring_slot_bytes=args.ring_slot_bytes,
         ),
     )
     server.install_signal_handlers()

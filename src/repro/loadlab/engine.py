@@ -16,8 +16,8 @@ save it), and ``garbage`` posts undecodable bodies that must come back
 Every request becomes one :class:`RequestRecord`; the results pipeline
 (:mod:`repro.loadlab.results`) does all aggregation. The engine itself
 never retries, sleeps, or reads wall-clock time except through its
-injectable ``clock``, which is how the tests drive it with
-``tests.fault_injection.FakeTime`` against a ``ScriptedServer``.
+injectable ``clock``, which is how the tests drive it with a fake
+clock against a scripted HTTP impostor (``tests/test_loadlab_engine.py``).
 """
 
 from __future__ import annotations

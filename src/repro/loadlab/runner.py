@@ -127,8 +127,6 @@ def _launch_subprocess(scenario: Scenario) -> ServerHandle:
         "--queue-depth", str(spec.queue_depth),
         "--deadline-ms", str(spec.deadline_ms),
         "--workers", str(spec.workers),
-        "--frontend", spec.frontend,
-        "--transport", spec.transport,
     ]
     env = dict(os.environ)
     src_root = str(Path(__file__).resolve().parents[2])
@@ -231,8 +229,6 @@ def _launch_inprocess(scenario: Scenario) -> ServerHandle:
             queue_depth=spec.queue_depth,
             deadline_ms=spec.deadline_ms,
             workers=spec.workers,
-            frontend=spec.frontend,
-            transport=spec.transport,
         ),
     )
     server.start()

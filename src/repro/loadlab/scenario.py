@@ -36,9 +36,7 @@ from repro.errors import LoadLabError
 __all__ = [
     "ARRIVAL_KINDS",
     "ArrivalModel",
-    "FRONTEND_KINDS",
     "LAUNCH_KINDS",
-    "TRANSPORT_KINDS",
     "LoadLevel",
     "LoadProfile",
     "PROFILE_KINDS",
@@ -52,11 +50,6 @@ __all__ = [
 PROFILE_KINDS = ("constant", "ramp", "geometric", "spike", "diurnal")
 ARRIVAL_KINDS = ("closed", "poisson")
 LAUNCH_KINDS = ("subprocess", "inprocess", "external")
-#: Connection front ends a ServerSpec may request (mirrors
-#: :class:`repro.serving.server.ServerConfig`).
-FRONTEND_KINDS = ("eventloop", "threaded")
-#: Dispatcher ↔ shard frame transports.
-TRANSPORT_KINDS = ("shm", "pipe")
 #: Request kinds a mix can weight. ``benign``/``attack``/``batch`` expect
 #: HTTP 200, ``garbage`` expects a 400 rejection, ``slow_loris`` holds a
 #: connection open without completing a request.
@@ -234,13 +227,6 @@ class ServerSpec:
     #: ``external`` attaches to an already-running server.
     launch: str = "subprocess"
     workers: int = 2
-    #: Connection front end: ``eventloop`` (the selectors loop) or
-    #: ``threaded`` (thread-per-connection) — the comparison axis the
-    #: async scenarios sweep.
-    frontend: str = "eventloop"
-    #: Dispatcher ↔ shard transport: ``shm`` slot rings or ``pipe``
-    #: pickled frames. Only observable when ``workers`` > 0.
-    transport: str = "shm"
     max_active: int = 4
     queue_depth: int = 64
     deadline_ms: float = 10_000.0
@@ -258,14 +244,6 @@ class ServerSpec:
             )
         if self.workers < 0:
             raise LoadLabError(f"workers must be >= 0, got {self.workers}")
-        if self.frontend not in FRONTEND_KINDS:
-            raise LoadLabError(
-                f"unknown frontend {self.frontend!r} (expected one of {FRONTEND_KINDS})"
-            )
-        if self.transport not in TRANSPORT_KINDS:
-            raise LoadLabError(
-                f"unknown transport {self.transport!r} (expected one of {TRANSPORT_KINDS})"
-            )
         if self.holdout < 20:
             # calibrate() needs a meaningful holdout; match the CLI's floor.
             raise LoadLabError(f"holdout must be >= 20 images, got {self.holdout}")

@@ -131,15 +131,14 @@ def _build() -> dict[str, Scenario]:
             description=(
                 "The event-loop front end's home turf: closed-loop "
                 "keep-alive concurrency doubling 64 -> 512 against a "
-                "subprocess server. Compare against the same spec with "
-                "server.frontend='threaded' to price thread-per-connection."
+                "subprocess server, which must answer every connection "
+                "at every level."
             ),
             profile=LoadProfile(kind="geometric", base=64.0, peak=512.0,
                                 steps=4, level_duration_s=5.0),
             arrival=ArrivalModel(kind="closed"),
             mix=WorkloadMix(benign=1.0, pool_size=8),
             server=ServerSpec(launch="subprocess", workers=2,
-                              frontend="eventloop", transport="shm",
                               max_active=8, queue_depth=512,
                               deadline_ms=60_000.0),
             client_timeout_s=120.0,
@@ -160,7 +159,6 @@ def _build() -> dict[str, Scenario]:
             mix=WorkloadMix(benign=0.85, garbage=0.05, slow_loris=0.05,
                             batch=0.05, slow_loris_hold_s=2.0),
             server=ServerSpec(launch="subprocess", workers=2,
-                              frontend="eventloop", transport="shm",
                               max_active=8, queue_depth=256,
                               deadline_ms=60_000.0),
             client_timeout_s=120.0,

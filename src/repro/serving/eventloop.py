@@ -1,9 +1,9 @@
 """Nonblocking ``selectors`` front end for the detection server.
 
-The threaded front end burns one OS thread per connection: a thousand
-idle keep-alives are a thousand blocked threads before the first byte of
-work. This module replaces the accept/read path with a single event-loop
-thread that:
+A thread-per-connection server burns one OS thread per connection: a
+thousand idle keep-alives are a thousand blocked threads before the first
+byte of work. This module runs the accept/read path on a single
+event-loop thread that:
 
 * accepts and reads every connection nonblockingly through one
   :class:`selectors.DefaultSelector`;
@@ -12,18 +12,17 @@ thread that:
   so a slow-loris herd cannot starve healthy clients;
 * hands each complete request to a small dispatch pool (sized to the
   admission queue: ``max_active + queue_depth`` plus slack) where the
-  shared request core — the same one the threaded front end calls — does
-  admission, scoring, and error mapping;
+  server's request core does admission, scoring, and error mapping;
 * queues the serialized response back to the loop thread, which writes it
   nonblockingly and resumes parsing the connection (keep-alive, in
   order).
 
-Responses are **byte-identical** to the threaded front end (status line,
-``Server``/``Date`` headers, explicit header order, body) — the parity
-grid in ``tests/test_serving_server.py`` holds the two side by side.
+Responses follow the standard library's ``http.server`` wire format
+(status line, ``Server``/``Date`` headers, explicit header order, body);
+the golden-byte grid in ``tests/test_serving_server.py`` pins them.
 When every admission slot and waiting-room seat is spoken for, the loop
 answers 429 directly instead of parking the request in the dispatch
-pool, preserving the threaded front end's fail-fast backpressure.
+pool, so backpressure fails fast.
 
 Lifecycle: the loop owns every connection; :meth:`EventLoopFrontend.stop`
 stops accepting, lets in-flight requests finish writing (bounded by the
@@ -50,8 +49,8 @@ from http.server import DEFAULT_ERROR_CONTENT_TYPE, DEFAULT_ERROR_MESSAGE
 
 __all__ = ["EventLoopFrontend", "serialize_response"]
 
-#: Mirror of ``BaseHTTPRequestHandler``'s ``Server:`` header value for
-#: ``server_version = "decamouflage"`` — parity is byte-for-byte.
+#: ``Server:`` header value, in ``http.server``'s "<version> Python/<x.y.z>"
+#: form.
 _SERVER_HEADER = "decamouflage Python/" + sys.version.split()[0]
 #: A request head (request line + headers) larger than this is hostile.
 _MAX_HEAD_BYTES = 64 * 1024
@@ -72,8 +71,8 @@ def _phrase(status: int) -> str:
 
 
 def serialize_response(status: int, headers, body: bytes, *, reason: str | None = None) -> bytes:
-    """Serialize one response exactly as ``BaseHTTPRequestHandler`` would:
-    status line, ``Server``, ``Date``, then the explicit headers in order."""
+    """Serialize one response in ``http.server``'s layout: status line,
+    ``Server``, ``Date``, then the explicit headers in order."""
     lines = [
         f"HTTP/1.1 {status} {_phrase(status) if reason is None else reason}\r\n",
         f"Server: {_SERVER_HEADER}\r\n",
@@ -86,8 +85,8 @@ def serialize_response(status: int, headers, body: bytes, *, reason: str | None 
 
 
 def _unsupported_method_body(method: str) -> tuple[bytes, str]:
-    """The HTML error body ``send_error(501)`` would produce for an
-    unsupported method, so the two front ends disagree on nothing."""
+    """The HTML error body ``http.server`` sends with a 501 for an
+    unsupported method."""
     message = f"Unsupported method ({method!r})"
     content = DEFAULT_ERROR_MESSAGE % {
         "code": 501,
@@ -376,7 +375,7 @@ class EventLoopFrontend:
             if connection == "close":
                 conn.close_after_write = True
         elif connection != "keep-alive":
-            # HTTP/1.0 closes by default, exactly like the threaded handler.
+            # HTTP/1.0 closes by default.
             conn.close_after_write = True
         if method not in ("GET", "POST"):
             self._respond_unsupported(conn, method)
@@ -389,9 +388,9 @@ class EventLoopFrontend:
                 conn.body_target = length
                 return True
         # No (valid, acceptable) body to wait for: the request core makes
-        # the 411/413/400 call itself so both front ends agree; any frame
-        # the client does send afterwards would desync the stream, so the
-        # core marks those responses Connection: close.
+        # the 411/413/400 call itself; any frame the client does send
+        # afterwards would desync the stream, so the core marks those
+        # responses Connection: close.
         self._complete_request(conn, b"")
         return False
 
@@ -424,8 +423,8 @@ class EventLoopFrontend:
             )
             conn.first_byte_at = None
         # Requests the core will refuse on body framing (411/400/413) never
-        # reach admission in the threaded front end either — they must not
-        # take the saturation short-circuit (nor count as in-flight work).
+        # reach admission — they must not take the saturation
+        # short-circuit (nor count as in-flight work).
         detect = (
             method == "POST"
             and path in _DETECT_PATHS
@@ -437,8 +436,8 @@ class EventLoopFrontend:
                 if not saturated:
                     self._inflight_detect += 1
             if saturated:
-                # Fail fast from the loop thread, exactly as a threaded
-                # handler hitting a full waiting room would — parking the
+                # Fail fast from the loop thread, exactly as the core
+                # does on a full waiting room — parking the
                 # request in the dispatch pool would turn backpressure
                 # into unbounded latency.
                 response = self._server.saturated_response(
@@ -460,7 +459,7 @@ class EventLoopFrontend:
         )
         try:
             response = self._server.handle_http_request(
-                method, path, headers, lambda _length: body, requestline=requestline
+                method, path, headers, body, requestline=requestline
             )
         except Exception as exc:  # the loop must survive a core bug
             body_bytes = json.dumps({"error": f"internal error: {exc}"}).encode("utf-8")
@@ -519,7 +518,7 @@ class EventLoopFrontend:
                 self._advance_parse(selector, conn)
 
     def _respond_unsupported(self, conn: _Connection, method: str) -> None:
-        """501 for non-GET/POST, byte-identical to ``send_error(501)`` —
+        """501 for non-GET/POST in ``http.server``'s error format —
         including the custom reason phrase on the status line."""
         body, message = _unsupported_method_body(method)
         headers = (

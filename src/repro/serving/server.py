@@ -2,7 +2,7 @@
 
 The paper positions Decamouflage as an online defense sitting in front of
 a model's resize step; this module puts that defense on the network with
-nothing beyond ``http.server``:
+nothing beyond the standard library:
 
 * ``POST /v1/detect`` — raw PNG/netpbm body in, JSON verdict out
   (per-detector scores, thresholds, the pipeline action).
@@ -47,7 +47,6 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import CodecError, DetectionError, ImageError, ReproError
 from repro.imaging.plans import geometry_cache_stats, plan_cache_stats
@@ -86,12 +85,6 @@ class ServerConfig:
     #: Socket timeout per connection, seconds (kills idle keep-alives so a
     #: drain cannot hang on a silent client).
     socket_timeout_s: float = 10.0
-    #: Connection front end: ``"eventloop"`` (default) holds every
-    #: connection on one ``selectors`` thread and dispatches complete
-    #: requests to a bounded pool; ``"threaded"`` is the classic
-    #: thread-per-connection ``ThreadingHTTPServer``. Responses are
-    #: byte-identical between the two.
-    frontend: str = "eventloop"
     #: Print one log line per request to stderr.
     verbose: bool = False
     #: Scoring shard processes (:mod:`repro.serving.workers`); 0 keeps the
@@ -103,26 +96,14 @@ class ServerConfig:
     worker_job_timeout_s: float = 30.0
     worker_restart_backoff_base_s: float = 0.1
     worker_restart_backoff_max_s: float = 5.0
-    #: Dispatcher ↔ shard frame transport: ``"shm"`` (default) carries
-    #: frames through per-shard shared-memory slot rings with the pipe as
-    #: doorbell; ``"pipe"`` pickles every frame through the pipe.
-    transport: str = "shm"
-    #: Slots per shared-memory ring (per shard, per direction).
-    ring_slots: int = 8
-    #: Payload capacity of one ring slot; larger frames ride the pipe.
-    ring_slot_bytes: int = 1 << 20
-    #: Test-only fault seam (see :attr:`WorkerPoolConfig.fault_spec`).
-    fault_injection: str | None = None
 
 
 @dataclass(frozen=True)
 class WireResponse:
     """One HTTP response, fully decided by the request core.
 
-    Front ends only serialize: the threaded handler replays ``headers`` in
-    order through ``send_header``, the event loop renders the identical
-    bytes itself (:func:`repro.serving.eventloop.serialize_response`), so
-    parity between them is structural, not coincidental. ``close`` asks
+    The front end only serializes it
+    (:func:`repro.serving.eventloop.serialize_response`). ``close`` asks
     the front end to drop the connection after the write — set while
     draining and on body-framing errors (411/413/bad Content-Length),
     where unread body bytes would desync a keep-alive stream.
@@ -203,65 +184,12 @@ class AdmissionQueue:
             return self._active == 0 and self._waiting == 0
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """One HTTP connection, thread-per-connection style.
-
-    A thin serializer: every routing, admission, scoring, and error-mapping
-    decision lives in :meth:`DetectionServer.handle_http_request`, shared
-    with the event-loop front end; this class only replays the resulting
-    :class:`WireResponse` through ``send_response``/``send_header``.
-    """
-
-    protocol_version = "HTTP/1.1"
-    server_version = "decamouflage"
-
-    @property
-    def _detection(self) -> "DetectionServer":
-        return self.server.detection_server  # type: ignore[attr-defined]
-
-    def setup(self) -> None:
-        self.timeout = self._detection.config.socket_timeout_s
-        super().setup()
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self._detection.config.verbose:
-            super().log_message(format, *args)
-
-    def _emit(self, response: WireResponse) -> None:
-        self.send_response(response.status)
-        for name, value in response.headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(response.body)
-        if response.close:
-            self.close_connection = True
-
-    def _handle(self, method: str) -> None:
-        self._emit(
-            self._detection.handle_http_request(
-                method,
-                self.path,
-                self.headers,
-                lambda length: self.rfile.read(length),
-                requestline=self.requestline,
-            )
-        )
-
-    def do_GET(self) -> None:
-        self._handle("GET")
-
-    def do_POST(self) -> None:
-        self._handle("POST")
-
-
 class DetectionServer:
-    """The detection service: a connection front end plus lifecycle.
+    """The detection service: the request core plus lifecycle.
 
-    The front end is pluggable (``config.frontend``): ``"eventloop"`` runs
-    one :class:`~repro.serving.eventloop.EventLoopFrontend` selector
-    thread; ``"threaded"`` keeps the classic ``ThreadingHTTPServer``. Both
-    feed :meth:`handle_http_request`, the shared request core, so their
-    responses are byte-identical.
+    Connections live on one
+    :class:`~repro.serving.eventloop.EventLoopFrontend` selector thread,
+    which parses each request and hands it to :meth:`handle_http_request`.
     """
 
     def __init__(
@@ -269,52 +197,32 @@ class DetectionServer:
     ) -> None:
         self.pipeline = pipeline
         self.config = config or ServerConfig()
-        if self.config.frontend not in ("threaded", "eventloop"):
-            raise ReproError(
-                f"unknown frontend {self.config.frontend!r}; "
-                "expected 'threaded' or 'eventloop'"
-            )
         self.metrics = pipeline.metrics
         self.admission = AdmissionQueue(
             self.config.max_active, self.config.queue_depth, self.metrics
         )
         self.draining = False
-        self._httpd: ThreadingHTTPServer | None = None
-        self._frontend: EventLoopFrontend | None = None
-        if self.config.frontend == "threaded":
-            self._httpd = ThreadingHTTPServer(
-                (self.config.host, self.config.port), _Handler
-            )
-            # Handler threads are joined on server_close() so a drain
-            # really waits for every in-flight request.
-            self._httpd.daemon_threads = False
-            self._httpd.block_on_close = True
-            self._httpd.detection_server = self  # type: ignore[attr-defined]
-        else:
-            self._frontend = EventLoopFrontend(self)
-        self._serve_thread: threading.Thread | None = None
+        self._frontend = EventLoopFrontend(self)
         self._shutdown_lock = threading.Lock()
         self._closed = False
         self._pool: WorkerPool | None = None
 
-    # -- request core (shared by both front ends) ----------------------------
+    # -- request core ---------------------------------------------------------
 
     def handle_http_request(
-        self, method: str, path: str, headers, read_body, *, requestline: str = ""
+        self, method: str, path: str, headers, body: bytes, *, requestline: str = ""
     ) -> WireResponse:
         """Decide one request end-to-end: routing, admission, scoring,
         error mapping, counters, and logging.
 
         ``headers`` is any mapping with ``.get`` (an ``email.message``
-        object from either front end); ``read_body(length)`` returns the
-        request body and is only called after the Content-Length checks
-        pass, so the threaded front end can read lazily from its socket
-        while the event loop hands over bytes it already buffered.
+        object); ``body`` is the request body the front end buffered, empty
+        when the Content-Length checks below will refuse the request.
         """
         request_id = (headers.get("X-Request-Id") or "").strip() or uuid.uuid4().hex[:12]
         if method == "GET":
             return self._handle_get(path, request_id, requestline)
-        return self._handle_post(path, headers, read_body, request_id, requestline)
+        return self._handle_post(path, headers, body, request_id, requestline)
 
     def _handle_get(self, path: str, request_id: str, requestline: str) -> WireResponse:
         if path == "/healthz":
@@ -331,7 +239,7 @@ class DetectionServer:
         return self._error_response(404, f"unknown path {path}", request_id, requestline)
 
     def _handle_post(
-        self, path: str, headers, read_body, request_id: str, requestline: str
+        self, path: str, headers, body: bytes, request_id: str, requestline: str
     ) -> WireResponse:
         if path not in ("/v1/detect", "/v1/detect/batch"):
             return self._error_response(
@@ -373,7 +281,6 @@ class DetectionServer:
                 requestline,
                 close=True,
             )
-        body = read_body(length)
         try:
             self.admission.acquire(self.config.deadline_ms / 1000.0)
         except _Saturated as exc:
@@ -582,10 +489,7 @@ class DetectionServer:
     @property
     def address(self) -> tuple[str, int]:
         """Bound ``(host, port)`` — the real port even when configured as 0."""
-        if self._frontend is not None:
-            return self._frontend.address
-        host, port = self._httpd.server_address[:2]
-        return str(host), int(port)
+        return self._frontend.address
 
     def health(self) -> dict:
         saturated = self.admission.waiting >= self.config.queue_depth
@@ -655,13 +559,7 @@ class DetectionServer:
             if self._closed:
                 raise ReproError("server is closed; create a new DetectionServer")
             self._ensure_workers_locked()
-            if self._frontend is not None:
-                self._frontend.start()
-                return
-            self._serve_thread = threading.Thread(
-                target=self._httpd.serve_forever, name="detection-server", daemon=True
-            )
-            self._serve_thread.start()
+            self._frontend.start()
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown`."""
@@ -669,10 +567,7 @@ class DetectionServer:
             if self._closed:
                 raise ReproError("server is closed; create a new DetectionServer")
             self._ensure_workers_locked()
-        if self._frontend is not None:
-            self._frontend.serve_forever()
-            return
-        self._httpd.serve_forever()
+        self._frontend.serve_forever()
 
     def ensure_workers(self) -> None:
         """Spawn the shard pool now (idempotent; normally lazy at serve).
@@ -704,10 +599,6 @@ class DetectionServer:
             job_timeout_s=self.config.worker_job_timeout_s,
             restart_backoff_base_s=self.config.worker_restart_backoff_base_s,
             restart_backoff_max_s=self.config.worker_restart_backoff_max_s,
-            transport=self.config.transport,
-            ring_slots=self.config.ring_slots,
-            ring_slot_bytes=self.config.ring_slot_bytes,
-            fault_spec=self.config.fault_injection,
         )
         self._pool = WorkerPool(spec, pool_config, metrics=self.metrics)
         self._pool.start()
@@ -726,28 +617,20 @@ class DetectionServer:
     def shutdown(self) -> None:  # analyze: ignore[io-under-lock]
         """Graceful drain: stop accepting, finish in-flight, flush audit.
 
-        Idempotent and safe to call from any thread except a handler
-        thread (it joins them). Joining and flushing *while holding* the
-        shutdown lock is the point — concurrent shutdown() calls must not
-        return before the drain completes — hence the analyzer suppression.
+        Idempotent and safe to call from any thread except a dispatch-pool
+        thread (it waits for them). Joining and flushing *while holding*
+        the shutdown lock is the point — concurrent shutdown() calls must
+        not return before the drain completes — hence the analyzer
+        suppression.
         """
         with self._shutdown_lock:
             if self._closed:
                 return
             self.draining = True
-            if self._frontend is not None:
-                # The loop stops accepting, finishes writing every
-                # in-flight response (bounded by the drain deadline), and
-                # only then releases its dispatch pool.
-                self._frontend.stop()
-            else:
-                # Stop the accept loop, then join every handler thread
-                # (block_on_close) so in-flight requests complete before
-                # the audit log is flushed.
-                self._httpd.shutdown()
-                self._httpd.server_close()
-                if self._serve_thread is not None:
-                    self._serve_thread.join(timeout=self.config.socket_timeout_s)
+            # The loop stops accepting, finishes writing every in-flight
+            # response (bounded by the drain deadline), and only then
+            # releases its dispatch pool.
+            self._frontend.stop()
             # The front end is drained, so no job is in flight: stop the
             # shards before the final audit flush.
             if self._pool is not None:

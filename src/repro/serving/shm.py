@@ -1,11 +1,11 @@
 """Shared-memory slot rings: the zero-copy dispatcher ↔ shard transport.
 
-The pipe transport (:mod:`repro.serving.workers`) serializes every frame
-into a ``multiprocessing`` pipe, which copies each payload twice (user →
-kernel → user) and holds the GIL while it does. This module keeps the
-pipe as a tiny **doorbell + control** channel and moves the payload bytes
-through a :class:`multiprocessing.shared_memory.SharedMemory` segment
-organised as a fixed-slot ring:
+A frame written into a ``multiprocessing`` pipe is copied twice (user →
+kernel → user) while the writer holds the GIL. The shard pool
+(:mod:`repro.serving.workers`) keeps its pipe as a tiny **doorbell +
+control** channel and moves the payload bytes through a
+:class:`multiprocessing.shared_memory.SharedMemory` segment organised as
+a fixed-slot ring:
 
 * the segment starts with a 12-byte ring header (magic, version, slot
   count, slot size) so an attach can never mis-parse a stranger's segment;
@@ -91,7 +91,7 @@ class ShmRing:
 
     The creating side owns the segment (and must eventually
     :meth:`unlink`); the attaching side only maps it. ``put`` is
-    thread-safe (the dispatcher writes from handler threads); ``get``
+    thread-safe (the dispatcher writes from its dispatch threads); ``get``
     consumes a specific slot index delivered out-of-band, so concurrent
     readers never contend for the same slot by construction.
     """
@@ -236,28 +236,6 @@ class ShmRing:
             raise RingFull("ring torn down mid-write") from exc
         raise RingFull(f"all {self._slots} slots occupied")
 
-    def put_torn(self, frame: bytes) -> int:
-        """Claim a slot and copy only half the payload, never publishing.
-
-        Fault-injection support for the SIGKILL-mid-slot-write drill: the
-        slot is left in WRITING exactly as a writer dying mid-copy would,
-        so a reader handed its index must refuse it cleanly.
-        """
-        buf = self._shm.buf
-        with self._lock:
-            for slot in range(self._slots):
-                offset = self._slot_offset(slot)
-                if buf[offset] != SLOT_FREE:
-                    continue
-                _SLOT_HEADER.pack_into(
-                    buf, offset, SLOT_WRITING, _SLOT_MAGIC, 0, len(frame), zlib.crc32(frame)
-                )
-                start = offset + _SLOT_HEADER.size
-                half = frame[: len(frame) // 2]
-                buf[start : start + len(half)] = half
-                return slot
-            raise RingFull(f"all {self._slots} slots occupied")
-
     def get(self, slot: int, *, origin: str = "<slot>") -> bytes:
         """Consume slot *slot*: validate, copy the payload out, retire it.
 
@@ -293,7 +271,7 @@ class ShmRing:
             raise CodecError(f"{origin}: ring torn down mid-read") from exc
         return frame
 
-    # -- introspection & fault injection -------------------------------
+    # -- introspection -------------------------------------------------
 
     def occupancy(self) -> int:
         """Slots not currently FREE (gauge fodder: ring pressure)."""
@@ -306,26 +284,3 @@ class ShmRing:
             )
         except (ValueError, TypeError):
             return 0
-
-    def reset(self) -> None:
-        """Force every slot back to FREE (tests and post-fault reuse)."""
-        buf = self._shm.buf
-        with self._lock:
-            for slot in range(self._slots):
-                _SLOT_HEADER.pack_into(
-                    buf, self._slot_offset(slot), SLOT_FREE, _SLOT_MAGIC, 0, 0, 0
-                )
-
-    def mutate(self, slot: int, index: int, mask: int) -> None:
-        """XOR one byte of slot *slot*'s record (header + payload room).
-
-        Corruption-injection support: property tests walk *index* across
-        the record and assert the reader refuses every single-byte flip.
-        """
-        if not 0 <= slot < self._slots:
-            raise ValueError(f"slot {slot} out of range")
-        record = _SLOT_HEADER.size + self._slot_bytes
-        if not 0 <= index < record:
-            raise ValueError(f"byte index {index} outside slot record of {record} bytes")
-        offset = self._slot_offset(slot) + index
-        self._shm.buf[offset] ^= mask & 0xFF

@@ -1,11 +1,11 @@
 """Process-based scoring shards behind the detection server.
 
-PR 3's service scores in-process behind a thread pool; one Python process
-GIL-bound on SSIM/FFT math caps throughput. This module shards scoring
-across ``multiprocessing`` worker processes, each owning its own calibrated
-:class:`~repro.serving.pipeline.ProtectedPipeline`, while the HTTP handler
-threads become thin dispatchers speaking the :mod:`repro.serving.wire`
-framing over stdlib pipes:
+Scoring in-process behind a thread pool leaves one Python process
+GIL-bound on SSIM/FFT math. This module shards scoring across
+``multiprocessing`` worker processes, each owning its own calibrated
+:class:`~repro.serving.pipeline.ProtectedPipeline`, while the server's
+dispatch threads become thin dispatchers speaking the
+:mod:`repro.serving.wire` framing:
 
 * :class:`WorkerSpec` — the picklable recipe for one shard's pipeline,
   captured once from the parent's calibrated pipeline (the detectors are
@@ -16,26 +16,25 @@ framing over stdlib pipes:
   liveness deadline, crash detection, automatic respawn under bounded
   exponential backoff, and requeue-exactly-once failover for jobs that
   were in flight on a dead shard (a second failure answers 503).
-* :func:`_worker_main` — the shard process: decode, score, reply; send a
+* :class:`Shard` — the shard process: decode, score, reply; send a
   heartbeat whenever idle for one interval.
+
+Frames travel through two per-shard :class:`~repro.serving.shm.ShmRing`
+segments (one per direction); the pipe carries 8-byte slot refs,
+heartbeats, and control. A frame larger than one slot, or one that finds
+its ring full, rides the pipe whole instead — the per-frame fallback.
 
 Division of labour: shards score and write quarantine artifacts (they hold
 the memoized analysis intermediates); the dispatcher keeps the canonical
 ``pipeline.stats``, sequence numbers, and JSONL audit records via
 :meth:`ProtectedPipeline.record_remote_outcome` — so a sharded deployment
 reads identically to an in-process one from the outside.
-
-Fault injection: :attr:`WorkerPoolConfig.fault_spec` is a test-only seam
-(``"kill:0,slow:1:5"``) parsed inside the shard, because monkeypatching
-does not cross a spawn boundary. Faults apply only to a shard's first
-incarnation, so respawn recovers naturally. See ``tests/fault_injection``.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import pickle
 import threading
 import time
@@ -64,7 +63,7 @@ from repro.serving.wire import (
     unpack_result,
 )
 
-__all__ = ["WorkerSpec", "WorkerPoolConfig", "WorkerPool"]
+__all__ = ["Shard", "WorkerSpec", "WorkerPoolConfig", "WorkerPool"]
 
 
 # -- what a shard needs to know ---------------------------------------------
@@ -184,6 +183,166 @@ class _QuarantineOnlyAuditLog(AuditLog):
         return self._quarantine_paths.pop(image_id, None)
 
 
+# -- the shard process --------------------------------------------------------
+
+
+def _shard_snapshot(pipeline: ProtectedPipeline, errors: int) -> dict:
+    """The per-heartbeat stats a shard reports to the dispatcher."""
+    stats = pipeline.stats
+    screen = pipeline.metrics.histogram("pipeline.screen").summary()
+    return {
+        "submitted": stats.submitted,
+        "accepted": stats.accepted,
+        "rejected": stats.rejected,
+        "quarantined": stats.quarantined,
+        "sanitized": stats.sanitized,
+        "errors": errors,
+        "screen_ms": {
+            key: round(float(screen.get(key, 0.0)), 3)
+            for key in ("count", "mean_ms", "p50_ms", "p95_ms")
+        },
+    }
+
+
+def _score_job(
+    pipeline: ProtectedPipeline, kind: str, request_id: str, payloads: list[bytes]
+) -> bytes:
+    """Decode, score, and serialize one job's verdicts (shard side)."""
+    start = time.perf_counter()
+    if kind == "single":
+        image = decode_image_payload(payloads[0], origin=request_id)
+        outcomes = [pipeline.submit(image, image_id=request_id)]
+    else:
+        images = [
+            decode_image_payload(blob, origin=f"{request_id}[{index}]")
+            for index, blob in enumerate(payloads)
+        ]
+        outcomes = pipeline.submit_batch(images, prefix=request_id)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    quarantine_paths: list[str | None] = []
+    for outcome in outcomes:
+        path = None
+        if isinstance(pipeline.audit_log, _QuarantineOnlyAuditLog):
+            path = pipeline.audit_log.pop_quarantine_path(outcome.image_id)
+        quarantine_paths.append(path)
+    verdicts = [
+        verdict_payload(outcome, request_id=request_id, latency_ms=elapsed_ms)
+        for outcome in outcomes
+    ]
+    return json.dumps(
+        {"verdicts": verdicts, "quarantine_paths": quarantine_paths}
+    ).encode("utf-8")
+
+
+class Shard:
+    """One shard process: score jobs, heartbeat when idle, exit on stop.
+
+    :meth:`run` is the loop; :meth:`heartbeat`, :meth:`score` and
+    :meth:`reply` are its three steps, each overridable on its own. Job
+    frames arrive as slot refs into the job ring (or whole over the pipe);
+    replies leave through the result ring (or whole over the pipe when
+    they outgrow a slot or find the ring full).
+    """
+
+    def __init__(
+        self,
+        conn,
+        spec: WorkerSpec,
+        worker_id: int,
+        restarts: int,
+        heartbeat_interval_s: float,
+        job_ring_name: str,
+        result_ring_name: str,
+    ) -> None:
+        self.conn = conn
+        self.worker_id = worker_id
+        #: 0 for a shard's first incarnation, n after its nth respawn.
+        self.restarts = restarts
+        self.heartbeat_interval_s = heartbeat_interval_s
+        self.origin = f"worker-{worker_id}"
+        self.errors = 0
+        spec.apply_process_state()
+        self.pipeline = spec.build_pipeline()
+        self.job_ring = ShmRing.attach(job_ring_name)
+        self.result_ring = ShmRing.attach(result_ring_name)
+
+    @classmethod
+    def main(cls, *args) -> None:
+        """Spawn target (see :attr:`WorkerPool.shard_main`): build the
+        shard inside the child process and run it."""
+        cls(*args).run()
+
+    def run(self) -> None:
+        """Serve jobs until a stop frame arrives or the dispatcher is gone."""
+        try:
+            while True:
+                if not self.conn.poll(self.heartbeat_interval_s):
+                    if not self.heartbeat():
+                        return
+                    continue
+                try:
+                    frame = self.conn.recv_bytes()
+                except (EOFError, OSError):
+                    return
+                try:
+                    kind, job_id, request_id, payloads = self._read_job(frame)
+                except CodecError:
+                    self.errors += 1
+                    continue  # dispatcher bug; the job times out and fails over
+                if kind == "stop":
+                    return
+                if not self.reply(job_id, self.score(kind, job_id, request_id, payloads)):
+                    return
+        finally:
+            self.job_ring.close()
+            self.result_ring.close()
+
+    def _read_job(self, frame: bytes) -> tuple[str, str, str, list[bytes]]:
+        kind, job_id, request_id, payloads = unpack_job(frame, origin=self.origin)
+        if kind != "slot":
+            return kind, job_id, request_id, payloads
+        if len(payloads) != 1:
+            raise CodecError(f"{self.origin}: stray slot ref")
+        slot, length = decode_slot_ref(payloads[0])
+        inner = self.job_ring.get(slot, origin=self.origin)
+        if len(inner) != length:
+            raise CodecError(f"{self.origin}: slot {slot} length mismatch")
+        return unpack_job(inner, origin=self.origin)
+
+    def heartbeat(self) -> bool:
+        """Report this shard's stats; False once the dispatcher is gone."""
+        snapshot = json.dumps(_shard_snapshot(self.pipeline, self.errors)).encode("utf-8")
+        return self.send(pack_result("hb", "-", snapshot))
+
+    def score(self, kind: str, job_id: str, request_id: str, payloads: list[bytes]) -> bytes:
+        """Score one job into its result frame: ``ok`` with the verdicts,
+        or ``err`` carrying the exception for the dispatcher to re-raise."""
+        try:
+            return pack_result("ok", job_id, _score_job(self.pipeline, kind, request_id, payloads))
+        except Exception as exc:  # shipped to the dispatcher, not swallowed
+            self.errors += 1
+            descriptor = {"type": type(exc).__name__, "message": str(exc)}
+            return pack_result("err", job_id, json.dumps(descriptor).encode("utf-8"))
+
+    def reply(self, job_id: str, frame: bytes) -> bool:
+        """Deliver one result frame; False once the dispatcher is gone."""
+        if len(frame) <= self.result_ring.slot_bytes:
+            try:
+                slot = self.result_ring.put(frame)
+                frame = pack_result("slot", job_id, encode_slot_ref(slot, len(frame)))
+            except RingFull:
+                pass  # per-frame fallback: the full reply rides the pipe
+        return self.send(frame)
+
+    def send(self, frame: bytes) -> bool:
+        """Write one frame to the pipe; False once the dispatcher is gone."""
+        try:
+            self.conn.send_bytes(frame)
+        except (OSError, ValueError):
+            return False
+        return True
+
+
 # -- pool configuration ------------------------------------------------------
 
 
@@ -209,27 +368,11 @@ class WorkerPoolConfig:
     startup_grace_s: float = 60.0
     #: How long shutdown waits for shards to drain before killing them.
     drain_timeout_s: float = 10.0
-    #: Payload transport: ``"shm"`` moves job/result frames through
-    #: per-shard :class:`~repro.serving.shm.ShmRing` segments (the pipe
-    #: carries slot refs, heartbeats, and control); ``"pipe"`` serializes
-    #: every frame into the pipe as PR 4 did. Frames that outgrow a slot,
-    #: or arrive while the ring is full, fall back to the pipe per-frame.
-    transport: str = "shm"
     #: Slots per ring direction; bounds how many frames can be in flight
     #: through shared memory to one shard at once.
     ring_slots: int = 8
     #: Payload capacity of one slot (bytes); bigger frames take the pipe.
     ring_slot_bytes: int = 1 << 20
-    #: Test-only fault seam, parsed by the shard itself (monkeypatches do
-    #: not survive a spawn): comma-separated ``kind:worker_id[:arg]``
-    #: clauses — ``kill`` (exit on next job), ``kill-after`` (score, exit
-    #: before replying), ``kill-mid-write`` (die half-way through a ring
-    #: slot write with the doorbell already rung), ``mute`` (one
-    #: heartbeat, then silence), ``garbage`` (reply with an unframed
-    #: blob), ``slow:<id>:<seconds>`` (sleep before scoring). ``*``
-    #: targets every shard. Faults apply only while ``restarts == 0`` so a
-    #: respawned shard behaves.
-    fault_spec: str | None = None
 
 
 # -- parent-side bookkeeping -------------------------------------------------
@@ -281,6 +424,7 @@ class _WorkerHandle:
         "conn",
         "job_ring",
         "result_ring",
+        "rings_open",
         "send_lock",
         "up",
         "ready",
@@ -295,17 +439,18 @@ class _WorkerHandle:
     )
 
     def __init__(
-        self, worker_id, process, conn, restarts, consecutive, *, job_ring=None, result_ring=None
+        self, worker_id, process, conn, restarts, consecutive, job_ring, result_ring
     ) -> None:
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
         #: shm rings for this incarnation (dispatcher→shard / shard→
-        #: dispatcher), or None on the pipe transport. Created fresh per
-        #: spawn and destroyed with the incarnation, so no slot state
-        #: survives a crash.
-        self.job_ring: ShmRing | None = job_ring
-        self.result_ring: ShmRing | None = result_ring
+        #: dispatcher). Created fresh per spawn and destroyed with the
+        #: incarnation, so no slot state survives a crash.
+        self.job_ring: ShmRing = job_ring
+        self.result_ring: ShmRing = result_ring
+        #: cleared by the one caller that tears the rings down
+        self.rings_open = True
         self.send_lock = threading.Lock()
         self.up = True
         self.ready = False
@@ -346,6 +491,13 @@ class WorkerPool:
     Process spawning, joining, and pipe I/O all happen outside ``_lock``.
     """
 
+    #: Spawn target of every shard process, called in the child as
+    #: ``shard_main(conn, spec, worker_id, restarts, heartbeat_interval_s,
+    #: job_ring_name, result_ring_name)``. It crosses the spawn boundary by
+    #: pickle, so it must be importable by reference (a module-level
+    #: function, a classmethod, or a ``functools.partial`` of one).
+    shard_main = Shard.main
+
     def __init__(
         self,
         spec: WorkerSpec,
@@ -357,11 +509,6 @@ class WorkerPool:
         self.config = config or WorkerPoolConfig()
         if self.config.workers < 1:
             raise ReproError(f"workers must be >= 1, got {self.config.workers}")
-        if self.config.transport not in ("pipe", "shm"):
-            raise ReproError(
-                f"unknown worker transport {self.config.transport!r} "
-                "(expected 'pipe' or 'shm')"
-            )
         self.metrics = metrics or Metrics()
         self._context = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
@@ -459,18 +606,10 @@ class WorkerPool:
                     "inflight": len(handle.jobs),
                     "jobs_done": handle.jobs_done,
                     "heartbeat_age_s": now - handle.last_seen,
-                    "ring_occupancy": (
-                        None
-                        if handle.job_ring is None
-                        else {
-                            "job": handle.job_ring.occupancy(),
-                            "result": (
-                                handle.result_ring.occupancy()
-                                if handle.result_ring is not None
-                                else 0
-                            ),
-                        }
-                    ),
+                    "ring_occupancy": {
+                        "job": handle.job_ring.occupancy(),
+                        "result": handle.result_ring.occupancy(),
+                    },
                     "snapshot": dict(handle.snapshot),
                 }
                 for _, handle in sorted(self._workers.items())
@@ -500,12 +639,10 @@ class WorkerPool:
             gauges["worker.heartbeat_age_s"].append(
                 (labels, round(status["heartbeat_age_s"], 3))
             )
-            ring = status["ring_occupancy"] or {}
-            gauges["worker.job_ring_occupancy"].append(
-                (labels, float(ring.get("job", 0)))
-            )
+            ring = status["ring_occupancy"]
+            gauges["worker.job_ring_occupancy"].append((labels, float(ring["job"])))
             gauges["worker.result_ring_occupancy"].append(
-                (labels, float(ring.get("result", 0)))
+                (labels, float(ring["result"]))
             )
             counters["worker.restarts"].append((labels, float(status["restarts"])))
             counters["worker.jobs_done"].append((labels, float(status["jobs_done"])))
@@ -574,9 +711,9 @@ class WorkerPool:
     def _ring_frame(self, handle: _WorkerHandle, frame: bytes) -> bytes | None:
         """Stage *frame* in the shard's job ring; returns the slot-ref
         doorbell frame, or None to send the full frame over the pipe
-        (no ring, oversize frame, ring full)."""
+        (oversize frame, ring full)."""
         ring = handle.job_ring
-        if ring is None or len(frame) > ring.slot_bytes:
+        if len(frame) > ring.slot_bytes:
             return None
         try:
             slot = ring.put(frame)
@@ -654,12 +791,12 @@ class WorkerPool:
     def _destroy_rings(self, handle: _WorkerHandle) -> None:
         """Tear down an incarnation's shm rings (idempotent, crash-safe)."""
         with self._lock:
-            rings = (handle.job_ring, handle.result_ring)
-            handle.job_ring = None
-            handle.result_ring = None
-        for ring in rings:
-            if ring is None:
-                continue
+            # The down-path and shutdown can race to tear down one
+            # incarnation; only the first may close the mappings.
+            if not handle.rings_open:
+                return
+            handle.rings_open = False
+        for ring in (handle.job_ring, handle.result_ring):
             ring.close()
             ring.unlink()
 
@@ -734,16 +871,13 @@ class WorkerPool:
     ) -> tuple[str, str, bytes]:
         """Follow one result slot ref into the shard's result ring.
 
-        Every failure mode — no ring configured, torn write (slot never
+        Every failure mode — ring already torn down, torn write (slot never
         published), length disagreement, nested indirection — surfaces as
         :class:`CodecError` so the caller's garbage-frame path recycles
         the shard and requeues its jobs exactly once.
         """
-        ring = handle.result_ring
-        if ring is None:
-            raise CodecError(f"{origin}: slot ref on the pipe transport")
         slot, length = decode_slot_ref(body, origin=origin)
-        inner = ring.get(slot, origin=origin)
+        inner = handle.result_ring.get(slot, origin=origin)
         if len(inner) != length:
             raise CodecError(
                 f"{origin}: slot {slot} holds {len(inner)} bytes, ref promised {length}"
@@ -779,24 +913,21 @@ class WorkerPool:
     # -- spawn + monitor -----------------------------------------------------
 
     def _spawn_worker(self, worker_id: int, *, restarts: int, consecutive: int) -> None:
-        job_ring = result_ring = None
-        if self.config.transport == "shm":
-            # Fresh rings per incarnation: a crash can leave slots torn or
-            # stranded, so nothing shared survives into the respawn.
-            job_ring = ShmRing.create(self.config.ring_slots, self.config.ring_slot_bytes)
-            result_ring = ShmRing.create(self.config.ring_slots, self.config.ring_slot_bytes)
+        # Fresh rings per incarnation: a crash can leave slots torn or
+        # stranded, so nothing shared survives into the respawn.
+        job_ring = ShmRing.create(self.config.ring_slots, self.config.ring_slot_bytes)
+        result_ring = ShmRing.create(self.config.ring_slots, self.config.ring_slot_bytes)
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
-            target=_worker_main,
+            target=self.shard_main,
             args=(
                 child_conn,
                 self.spec,
                 worker_id,
                 restarts,
                 self.config.heartbeat_interval_s,
-                self.config.fault_spec,
-                job_ring.name if job_ring is not None else None,
-                result_ring.name if result_ring is not None else None,
+                job_ring.name,
+                result_ring.name,
             ),
             name=f"decamouflage-worker-{worker_id}",
             daemon=True,
@@ -804,13 +935,7 @@ class WorkerPool:
         process.start()
         child_conn.close()
         handle = _WorkerHandle(
-            worker_id,
-            process,
-            parent_conn,
-            restarts,
-            consecutive,
-            job_ring=job_ring,
-            result_ring=result_ring,
+            worker_id, process, parent_conn, restarts, consecutive, job_ring, result_ring
         )
         with self._lock:
             aborted = self._closed
@@ -888,236 +1013,3 @@ class WorkerPool:
         if now - handle.last_seen > deadline:
             return f"no heartbeat for {now - handle.last_seen:.1f}s"
         return None
-
-
-# -- the shard process --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Faults:
-    """Parsed fault directives for one shard (test-only; see
-    :attr:`WorkerPoolConfig.fault_spec`)."""
-
-    kill_next: bool = False
-    kill_after: bool = False
-    kill_mid_write: bool = False
-    mute: bool = False
-    garbage: bool = False
-    slow_s: float = 0.0
-
-
-def _parse_faults(spec: str | None, worker_id: int) -> _Faults:
-    if not spec:
-        return _Faults()
-    kill_next = kill_after = kill_mid_write = mute = garbage = False
-    slow_s = 0.0
-    for clause in spec.split(","):
-        clause = clause.strip()
-        if not clause:
-            continue
-        parts = clause.split(":")
-        if len(parts) < 2:
-            raise ReproError(f"malformed fault clause {clause!r}")
-        kind, target = parts[0], parts[1]
-        if target != "*" and int(target) != worker_id:
-            continue
-        if kind == "kill":
-            kill_next = True
-        elif kind == "kill-after":
-            kill_after = True
-        elif kind == "kill-mid-write":
-            kill_mid_write = True
-        elif kind == "mute":
-            mute = True
-        elif kind == "garbage":
-            garbage = True
-        elif kind == "slow":
-            slow_s = float(parts[2])
-        else:
-            raise ReproError(f"unknown fault kind {kind!r}")
-    return _Faults(
-        kill_next=kill_next,
-        kill_after=kill_after,
-        kill_mid_write=kill_mid_write,
-        mute=mute,
-        garbage=garbage,
-        slow_s=slow_s,
-    )
-
-
-def _shard_snapshot(pipeline: ProtectedPipeline, errors: int) -> dict:
-    """The per-heartbeat stats a shard reports to the dispatcher."""
-    stats = pipeline.stats
-    screen = pipeline.metrics.histogram("pipeline.screen").summary()
-    return {
-        "submitted": stats.submitted,
-        "accepted": stats.accepted,
-        "rejected": stats.rejected,
-        "quarantined": stats.quarantined,
-        "sanitized": stats.sanitized,
-        "errors": errors,
-        "screen_ms": {
-            key: round(float(screen.get(key, 0.0)), 3)
-            for key in ("count", "mean_ms", "p50_ms", "p95_ms")
-        },
-    }
-
-
-def _score_job(
-    pipeline: ProtectedPipeline, kind: str, request_id: str, payloads: list[bytes]
-) -> bytes:
-    """Decode, score, and serialize one job's verdicts (shard side)."""
-    start = time.perf_counter()
-    if kind == "single":
-        image = decode_image_payload(payloads[0], origin=request_id)
-        outcomes = [pipeline.submit(image, image_id=request_id)]
-    else:
-        images = [
-            decode_image_payload(blob, origin=f"{request_id}[{index}]")
-            for index, blob in enumerate(payloads)
-        ]
-        outcomes = pipeline.submit_batch(images, prefix=request_id)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    quarantine_paths: list[str | None] = []
-    for outcome in outcomes:
-        path = None
-        if isinstance(pipeline.audit_log, _QuarantineOnlyAuditLog):
-            path = pipeline.audit_log.pop_quarantine_path(outcome.image_id)
-        quarantine_paths.append(path)
-    verdicts = [
-        verdict_payload(outcome, request_id=request_id, latency_ms=elapsed_ms)
-        for outcome in outcomes
-    ]
-    return json.dumps(
-        {"verdicts": verdicts, "quarantine_paths": quarantine_paths}
-    ).encode("utf-8")
-
-
-def _worker_main(
-    conn,
-    spec: WorkerSpec,
-    worker_id: int,
-    restarts: int,
-    heartbeat_interval_s: float,
-    fault_spec: str | None,
-    job_ring_name: str | None = None,
-    result_ring_name: str | None = None,
-) -> None:
-    """One shard process: score jobs, heartbeat when idle, exit on stop.
-
-    Must stay module-level (spawn pickles it by reference). Faults apply
-    only to a shard's first incarnation so respawn recovers naturally.
-    On the shm transport, job frames arrive as slot refs into
-    ``job_ring`` and scoring replies leave through ``result_ring`` (the
-    pipe keeps heartbeats, control, and per-frame fallback).
-    """
-    faults = _parse_faults(fault_spec, worker_id) if restarts == 0 else _Faults()
-    spec.apply_process_state()
-    pipeline = spec.build_pipeline()
-    job_ring = ShmRing.attach(job_ring_name) if job_ring_name else None
-    result_ring = ShmRing.attach(result_ring_name) if result_ring_name else None
-    try:
-        _worker_loop(
-            conn,
-            pipeline,
-            worker_id,
-            heartbeat_interval_s,
-            faults,
-            job_ring,
-            result_ring,
-        )
-    finally:
-        if job_ring is not None:
-            job_ring.close()
-        if result_ring is not None:
-            result_ring.close()
-
-
-def _worker_loop(
-    conn,
-    pipeline: ProtectedPipeline,
-    worker_id: int,
-    heartbeat_interval_s: float,
-    faults: _Faults,
-    job_ring: ShmRing | None,
-    result_ring: ShmRing | None,
-) -> None:
-    errors = 0
-    heartbeats_sent = 0
-    while True:
-        if not conn.poll(heartbeat_interval_s):
-            if faults.mute and heartbeats_sent >= 1:
-                continue
-            snapshot = json.dumps(_shard_snapshot(pipeline, errors)).encode("utf-8")
-            try:
-                conn.send_bytes(pack_result("hb", "-", snapshot))
-            except (OSError, ValueError):
-                return  # dispatcher is gone
-            heartbeats_sent += 1
-            continue
-        try:
-            frame = conn.recv_bytes()
-        except (EOFError, OSError):
-            return
-        try:
-            kind, job_id, request_id, payloads = unpack_job(
-                frame, origin=f"worker-{worker_id}"
-            )
-            if kind == "slot":
-                if job_ring is None or len(payloads) != 1:
-                    raise CodecError(f"worker-{worker_id}: stray slot ref")
-                slot, length = decode_slot_ref(payloads[0])
-                inner = job_ring.get(slot, origin=f"worker-{worker_id}")
-                if len(inner) != length:
-                    raise CodecError(
-                        f"worker-{worker_id}: slot {slot} length mismatch"
-                    )
-                kind, job_id, request_id, payloads = unpack_job(
-                    inner, origin=f"worker-{worker_id}"
-                )
-        except CodecError:
-            errors += 1
-            continue  # dispatcher bug; the job times out and fails over
-        if kind == "stop":
-            return
-        if faults.kill_next:
-            os._exit(170)  # simulated crash mid-request
-        if faults.slow_s:
-            time.sleep(faults.slow_s)
-        try:
-            reply = pack_result("ok", job_id, _score_job(pipeline, kind, request_id, payloads))
-        except Exception as exc:  # shipped to the dispatcher, not swallowed
-            errors += 1
-            descriptor = {"type": type(exc).__name__, "message": str(exc)}
-            reply = pack_result(
-                "err", job_id, json.dumps(descriptor).encode("utf-8")
-            )
-        if faults.kill_mid_write:
-            # The nastiest crash window: the slot write tears half-way but
-            # the doorbell still rings. The dispatcher must refuse the
-            # unpublished slot (CodecError), recycle this shard, and
-            # requeue the job exactly once. On the pipe transport there is
-            # no slot to tear, so the fault degenerates to kill-after.
-            if result_ring is not None:
-                try:
-                    slot = result_ring.put_torn(reply)
-                    conn.send_bytes(
-                        pack_result("slot", job_id, encode_slot_ref(slot, len(reply)))
-                    )
-                except (RingFull, OSError, ValueError):
-                    pass
-            os._exit(172)
-        if faults.kill_after:
-            os._exit(171)  # simulated crash after scoring, before replying
-        if faults.garbage:
-            reply = b"\xde\xad\xbe\xef" + os.urandom(24)
-        elif result_ring is not None and len(reply) <= result_ring.slot_bytes:
-            try:
-                slot = result_ring.put(reply)
-                reply = pack_result("slot", job_id, encode_slot_ref(slot, len(reply)))
-            except RingFull:
-                pass  # per-frame fallback: the full reply rides the pipe
-        try:
-            conn.send_bytes(reply)
-        except (OSError, ValueError):
-            return

@@ -27,17 +27,6 @@ MODEL_INPUT = (16, 16)
 #: sharded scoring path is exercised by the same end-to-end tests.
 SERVER_WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", "0"))
 
-#: Connection front end for the serving tests' servers: ``"eventloop"``
-#: (the selectors loop, the default) or ``"threaded"``. CI's fault-matrix
-#: job reruns the suite under both so every end-to-end assertion gates
-#: both front ends.
-SERVER_FRONTEND = os.environ.get("REPRO_TEST_FRONTEND", "eventloop")
-
-#: Dispatcher ↔ shard transport for sharded runs: ``"shm"`` (slot rings,
-#: the default) or ``"pipe"`` (pickled frames). Only observable when
-#: ``REPRO_TEST_WORKERS`` > 0.
-SERVER_TRANSPORT = os.environ.get("REPRO_TEST_TRANSPORT", "shm")
-
 
 @pytest.fixture(scope="session", autouse=True)
 def _locksan_session():

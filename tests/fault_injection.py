@@ -1,12 +1,17 @@
 """Fault-injection harness for the serving stack.
 
-Three families of controlled failure, all stdlib:
+Four families of controlled failure, all stdlib:
 
-* :func:`make_pool` / :func:`pool_with_faults` — build a real
-  :class:`~repro.serving.workers.WorkerPool` from a calibrated pipeline,
-  optionally with a ``fault_spec`` (the shard-side seam; monkeypatching
-  cannot cross a spawn boundary, so faults travel as config and trigger
-  inside the worker process itself).
+* :class:`Fault` / :class:`FaultyShard` — typed shard faults (kill,
+  kill-after, kill-mid-write, mute, garbage, slow; one shard or
+  :data:`EVERY_SHARD`) played by a :class:`~repro.serving.workers.Shard`
+  subclass. Monkeypatching does not cross a spawn boundary, so the faults
+  travel to the child as the pickled arguments of the pool's spawn target
+  (:func:`faulty_shard_main`); :func:`make_pool` installs it on one pool,
+  and server-level tests monkeypatch ``WorkerPool.shard_main`` itself.
+* :func:`tear_slot` / :func:`flip_byte` / :func:`free_all_slots` — edit
+  a live :class:`~repro.serving.shm.ShmRing` segment the way a writer
+  dying mid-copy or a stray byte would.
 * :class:`ScriptedServer` — a raw-socket HTTP impostor that plays back a
   scripted sequence of misbehaviours (429 + Retry-After, 503, connection
   reset, slow-loris dribble) so client retry discipline can be asserted
@@ -15,22 +20,30 @@ Three families of controlled failure, all stdlib:
   records every ``sleep`` instead of performing it, making backoff
   schedules assertable to the millisecond and the tests instant.
 
-Shared by ``tests/test_serving_faults.py`` and
-``tests/test_serving_client.py``.
+Shared by ``tests/test_serving_faults.py``, ``tests/test_serving_client.py``
+and ``tests/test_shm_properties.py``.
 """
 
 from __future__ import annotations
 
+import enum
+import functools
+import os
 import socket
 import struct
 import threading
 import time
+import zlib
+from dataclasses import dataclass
+from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.datasets.synthetic import generate_image
 from repro.serving.pipeline import ProtectedPipeline
-from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec
+from repro.serving.shm import SLOT_FREE, SLOT_WRITING, RingFull, ShmRing, encode_slot_ref
+from repro.serving.wire import pack_result
+from repro.serving.workers import Shard, WorkerPool, WorkerPoolConfig, WorkerSpec
 
 SOURCE_SHAPE = (128, 128)
 MODEL_INPUT = (16, 16)
@@ -54,26 +67,182 @@ def calibrated_pipeline(benign_images, **kwargs) -> ProtectedPipeline:
 
 
 def make_pool(
-    pipeline: ProtectedPipeline, *, workers: int = 2, fault_spec: str | None = None, **overrides
+    pipeline: ProtectedPipeline, *, workers: int = 2, faults=(), **overrides
 ) -> WorkerPool:
-    """A started shard pool over *pipeline*, tuned for test turnaround.
-
-    The frame transport follows ``REPRO_TEST_TRANSPORT`` (shm rings by
-    default, pickled pipes on the fallback leg of the CI matrix); pass
-    ``transport=...`` to pin one explicitly.
-    """
-    from tests.conftest import SERVER_TRANSPORT
-
-    config = WorkerPoolConfig(
-        workers=workers,
-        fault_spec=fault_spec,
-        **{**FAST_POOL, "transport": SERVER_TRANSPORT, **overrides},
-    )
+    """A started shard pool over *pipeline*, tuned for test turnaround,
+    whose shards play *faults* (a sequence of :class:`Fault`)."""
+    config = WorkerPoolConfig(workers=workers, **{**FAST_POOL, **overrides})
     pool = WorkerPool(
         WorkerSpec.from_pipeline(pipeline), config, metrics=pipeline.metrics
     )
+    if faults:
+        pool.shard_main = faulty_shard_main(faults)
     pool.start()
     return pool
+
+
+# -- shard faults ---------------------------------------------------------------
+
+
+class FaultKind(enum.Enum):
+    #: exit the moment a job lands, before scoring
+    KILL = "kill"
+    #: score, then exit before replying
+    KILL_AFTER = "kill-after"
+    #: tear the reply's result slot half-way, ring the doorbell, exit
+    KILL_MID_WRITE = "kill-mid-write"
+    #: send one heartbeat, then fall silent
+    MUTE = "mute"
+    #: reply with an unframed blob
+    GARBAGE = "garbage"
+    #: sleep ``seconds`` before scoring
+    SLOW = "slow"
+
+
+#: :attr:`Fault.worker` value that targets every shard.
+EVERY_SHARD = "*"
+
+
+@dataclass(frozen=True)
+class Fault:
+    """One misbehaviour for one shard (or :data:`EVERY_SHARD`)."""
+
+    kind: FaultKind
+    worker: int | str
+    #: Only for :attr:`FaultKind.SLOW`: how long to stall each job.
+    seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.kind, FaultKind):
+            raise TypeError(f"fault kind must be a FaultKind, got {self.kind!r}")
+        if self.worker != EVERY_SHARD and not (
+            isinstance(self.worker, int) and self.worker >= 0
+        ):
+            raise ValueError(f"fault target must be a worker id or {EVERY_SHARD!r}")
+        if (self.kind is FaultKind.SLOW) != (self.seconds > 0):
+            raise ValueError("slow faults need seconds > 0; no other kind takes seconds")
+
+    def hits(self, worker_id: int) -> bool:
+        return self.worker == EVERY_SHARD or self.worker == worker_id
+
+
+def shard_faults(faults, worker_id: int) -> dict[FaultKind, Fault]:
+    """The faults one shard plays, keyed by kind."""
+    return {fault.kind: fault for fault in faults if fault.hits(worker_id)}
+
+
+def faulty_shard_main(faults):
+    """A ``WorkerPool.shard_main`` whose shards play *faults*."""
+    return functools.partial(FaultyShard.main, tuple(faults))
+
+
+class FaultyShard(Shard):
+    """A shard that misbehaves on cue at the heartbeat, score, or reply
+    step. Faults apply only to a shard's first incarnation, so a respawn
+    recovers naturally."""
+
+    def __init__(self, faults, *args) -> None:
+        super().__init__(*args)
+        self.faults = {} if self.restarts else shard_faults(faults, self.worker_id)
+        self.heartbeats_sent = 0
+
+    def heartbeat(self) -> bool:
+        if FaultKind.MUTE in self.faults and self.heartbeats_sent >= 1:
+            return True
+        self.heartbeats_sent += 1
+        return super().heartbeat()
+
+    def score(self, kind, job_id, request_id, payloads) -> bytes:
+        if FaultKind.KILL in self.faults:
+            os._exit(170)  # simulated crash mid-request
+        slow = self.faults.get(FaultKind.SLOW)
+        if slow is not None:
+            time.sleep(slow.seconds)
+        return super().score(kind, job_id, request_id, payloads)
+
+    def reply(self, job_id, frame) -> bool:
+        if FaultKind.KILL_MID_WRITE in self.faults:
+            # The nastiest crash window: the slot write tears half-way but
+            # the doorbell still rings. The dispatcher must refuse the
+            # unpublished slot, recycle this shard, and requeue the job
+            # exactly once.
+            try:
+                slot = tear_slot(self.result_ring, frame)
+                self.send(pack_result("slot", job_id, encode_slot_ref(slot, len(frame))))
+            finally:
+                os._exit(172)
+        if FaultKind.KILL_AFTER in self.faults:
+            os._exit(171)  # simulated crash after scoring, before replying
+        if FaultKind.GARBAGE in self.faults:
+            return self.send(b"\xde\xad\xbe\xef" + os.urandom(24))
+        return super().reply(job_id, frame)
+
+
+# -- shm slot surgery -------------------------------------------------------------
+#
+# The segment layout documented in repro.serving.shm: a 12-byte ring header,
+# then per slot a 12-byte record header (state, magic, reserved, length,
+# CRC-32) followed by ``slot_bytes`` of payload room. The helpers map the
+# segment by name, so they edit exactly the bytes a peer process would see.
+
+_RING_HEADER_BYTES = 12
+_SLOT_HEADER = struct.Struct(">BBHII")
+_SLOT_MAGIC = 0xA5
+
+
+def _slot_offset(ring: ShmRing, slot: int) -> int:
+    return _RING_HEADER_BYTES + slot * (_SLOT_HEADER.size + ring.slot_bytes)
+
+
+def _edit(ring: ShmRing, edit):
+    shm = shared_memory.SharedMemory(name=ring.name)
+    try:
+        return edit(shm.buf)
+    finally:
+        shm.close()
+
+
+def tear_slot(ring: ShmRing, frame: bytes) -> int:
+    """Claim a FREE slot and copy only half of *frame*, never publishing:
+    the state a writer SIGKILLed mid-copy leaves behind."""
+
+    def edit(buf) -> int:
+        for slot in range(ring.slots):
+            offset = _slot_offset(ring, slot)
+            if buf[offset] != SLOT_FREE:
+                continue
+            _SLOT_HEADER.pack_into(
+                buf, offset, SLOT_WRITING, _SLOT_MAGIC, 0, len(frame), zlib.crc32(frame)
+            )
+            start = offset + _SLOT_HEADER.size
+            half = frame[: len(frame) // 2]
+            buf[start : start + len(half)] = half
+            return slot
+        raise RingFull(f"all {ring.slots} slots occupied")
+
+    return _edit(ring, edit)
+
+
+def flip_byte(ring: ShmRing, slot: int, index: int, mask: int) -> None:
+    """XOR byte *index* of slot *slot*'s record (header + payload room)."""
+    record = _SLOT_HEADER.size + ring.slot_bytes
+    if not 0 <= index < record:
+        raise ValueError(f"byte index {index} outside slot record of {record} bytes")
+
+    def edit(buf) -> None:
+        buf[_slot_offset(ring, slot) + index] ^= mask & 0xFF
+
+    _edit(ring, edit)
+
+
+def free_all_slots(ring: ShmRing) -> None:
+    """Force every slot back to FREE."""
+
+    def edit(buf) -> None:
+        for slot in range(ring.slots):
+            _SLOT_HEADER.pack_into(buf, _slot_offset(ring, slot), SLOT_FREE, _SLOT_MAGIC, 0, 0, 0)
+
+    _edit(ring, edit)
 
 
 def holdout_images(count: int = 6) -> list[np.ndarray]:

@@ -83,11 +83,14 @@ class TestValidation:
         with pytest.raises(LoadLabError, match="holdout"):
             ServerSpec(holdout=5)
 
-    def test_rejects_unknown_frontend_and_transport(self):
-        with pytest.raises(LoadLabError, match="unknown frontend"):
-            ServerSpec(frontend="coroutine")
-        with pytest.raises(LoadLabError, match="unknown transport"):
-            ServerSpec(transport="tcp")
+    def test_rejects_removed_frontend_and_transport_keys(self):
+        """Specs written when the server had two front ends and two
+        transports are refused by name, not silently run on the one left."""
+        for key, value in (("frontend", "eventloop"), ("transport", "shm")):
+            payload = Scenario(name="old-spec").as_dict()
+            payload["server"][key] = value
+            with pytest.raises(LoadLabError, match=f"'{key}'"):
+                Scenario.from_dict(payload)
 
     def test_rejects_empty_name_and_bad_knobs(self):
         with pytest.raises(LoadLabError, match="non-empty"):

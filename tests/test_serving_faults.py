@@ -6,9 +6,10 @@ frames on the result pipe, every shard down at once — and asserts the
 recovery contract: requeue exactly once, respawn under bounded backoff,
 no lost or duplicated verdicts, clean 503s when nothing can answer.
 
-Faults travel via :attr:`WorkerPoolConfig.fault_spec` (parsed inside the
-shard — monkeypatching does not survive a spawn) or as real signals
-against pids from :meth:`WorkerPool.pids`.
+Faults travel as typed :class:`~tests.fault_injection.Fault` values
+played by a shard subclass the pool spawns (monkeypatching does not
+survive a spawn), or as real signals against pids from
+:meth:`WorkerPool.pids`.
 """
 
 from __future__ import annotations
@@ -26,10 +27,18 @@ from repro.errors import DetectionError
 from repro.imaging.image import as_uint8
 from repro.serving import DetectionClient, DetectionServer, ServerConfig
 from repro.serving.wire import encode_image_payload
-from repro.serving.workers import _Faults, _parse_faults
+from repro.serving.workers import WorkerPool
 
-from tests.conftest import SERVER_FRONTEND, wait_until
-from tests.fault_injection import calibrated_pipeline, make_pool
+from tests.conftest import wait_until
+from tests.fault_injection import (
+    EVERY_SHARD,
+    Fault,
+    FaultKind,
+    calibrated_pipeline,
+    faulty_shard_main,
+    make_pool,
+    shard_faults,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,20 +53,29 @@ def _restarts(pool, worker_id: int) -> int:
     raise AssertionError(f"worker {worker_id} missing from status")
 
 
-class TestFaultSpecParsing:
-    def test_clauses_target_the_right_shard(self):
-        faults = _parse_faults("kill:0,slow:1:2.5,mute:*", worker_id=1)
-        assert faults == _Faults(mute=True, slow_s=2.5)
-        assert _parse_faults("kill:0", worker_id=0).kill_next
-        assert _parse_faults(None, worker_id=0) == _Faults()
+class TestFaultPlan:
+    def test_faults_target_the_right_shard(self):
+        plan = [
+            Fault(FaultKind.KILL, 0),
+            Fault(FaultKind.SLOW, 1, seconds=2.5),
+            Fault(FaultKind.MUTE, EVERY_SHARD),
+        ]
+        assert shard_faults(plan, worker_id=1) == {
+            FaultKind.SLOW: Fault(FaultKind.SLOW, 1, seconds=2.5),
+            FaultKind.MUTE: Fault(FaultKind.MUTE, EVERY_SHARD),
+        }
+        assert set(shard_faults(plan, worker_id=0)) == {FaultKind.KILL, FaultKind.MUTE}
+        assert shard_faults([], worker_id=0) == {}
 
-    def test_malformed_clauses_rejected(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="malformed fault clause"):
-            _parse_faults("kill", worker_id=0)
-        with pytest.raises(ReproError, match="unknown fault kind"):
-            _parse_faults("explode:0", worker_id=0)
+    def test_invalid_faults_rejected(self):
+        with pytest.raises(TypeError, match="FaultKind"):
+            Fault("kill", 0)
+        with pytest.raises(ValueError, match="worker id"):
+            Fault(FaultKind.KILL, -1)
+        with pytest.raises(ValueError, match="seconds"):
+            Fault(FaultKind.SLOW, 0)
+        with pytest.raises(ValueError, match="seconds"):
+            Fault(FaultKind.KILL, 0, seconds=1.0)
 
 
 class TestCrashMidRequest:
@@ -67,7 +85,7 @@ class TestCrashMidRequest:
         """Worker 0 exits the moment the job lands; the job must fail over
         to worker 1 and still produce exactly one verdict."""
         pipeline = calibrated_pipeline(benign_images)
-        pool = make_pool(pipeline, workers=2, fault_spec="kill:0")
+        pool = make_pool(pipeline, workers=2, faults=[Fault(FaultKind.KILL, 0)])
         try:
             # Force the faulty shard to be picked first: it is idle and has
             # the lowest id, which is exactly the least-loaded tie-break.
@@ -86,7 +104,7 @@ class TestCrashMidRequest:
         the answer existed but never reached the dispatcher. The requeue
         must produce one verdict, not zero and not two."""
         pipeline = calibrated_pipeline(benign_images)
-        pool = make_pool(pipeline, workers=2, fault_spec="kill-after:0")
+        pool = make_pool(pipeline, workers=2, faults=[Fault(FaultKind.KILL_AFTER, 0)])
         try:
             reply = pool.submit([payload], request_id="req-lost-reply")
             assert len(reply["verdicts"]) == 1
@@ -99,7 +117,9 @@ class TestCrashMidRequest:
         flight: the slow fault pins the job on worker 0 long enough for the
         signal to land mid-score."""
         pipeline = calibrated_pipeline(benign_images)
-        pool = make_pool(pipeline, workers=2, fault_spec="slow:0:30")
+        pool = make_pool(
+            pipeline, workers=2, faults=[Fault(FaultKind.SLOW, 0, seconds=30.0)]
+        )
         try:
             result: dict = {}
 
@@ -130,7 +150,7 @@ class TestCrashMidRequest:
         """Requeue-once means exactly once: when the failover target dies
         too, the caller gets a clean DetectionError, not a hang."""
         pipeline = calibrated_pipeline(benign_images)
-        pool = make_pool(pipeline, workers=2, fault_spec="kill:*")
+        pool = make_pool(pipeline, workers=2, faults=[Fault(FaultKind.KILL, EVERY_SHARD)])
         try:
             with pytest.raises(DetectionError, match="lost twice|no healthy"):
                 pool.submit([payload], request_id="req-doomed")
@@ -144,7 +164,7 @@ class TestRespawn:
         self, benign_images, payload
     ):
         pipeline = calibrated_pipeline(benign_images)
-        pool = make_pool(pipeline, workers=2, fault_spec="kill:0")
+        pool = make_pool(pipeline, workers=2, faults=[Fault(FaultKind.KILL, 0)])
         try:
             first_pid = pool.pids()[0]
             pool.submit([payload], request_id="req-1")  # kills worker 0
@@ -174,7 +194,10 @@ class TestRespawn:
         job traffic to expose it."""
         pipeline = calibrated_pipeline(benign_images)
         pool = make_pool(
-            pipeline, workers=1, fault_spec="mute:0", liveness_timeout_s=0.5
+            pipeline,
+            workers=1,
+            faults=[Fault(FaultKind.MUTE, 0)],
+            liveness_timeout_s=0.5,
         )
         try:
             wait_until(
@@ -192,7 +215,7 @@ class TestRespawn:
         """A shard replying with unframed bytes can no longer pair results
         with jobs: the dispatcher recycles it and fails the job over."""
         pipeline = calibrated_pipeline(benign_images)
-        pool = make_pool(pipeline, workers=2, fault_spec="garbage:0")
+        pool = make_pool(pipeline, workers=2, faults=[Fault(FaultKind.GARBAGE, 0)])
         try:
             reply = pool.submit([payload], request_id="req-garbage")
             assert len(reply["verdicts"]) == 1
@@ -215,7 +238,7 @@ class TestShmTransportFaults:
         requeued exactly once."""
         pipeline = calibrated_pipeline(benign_images)
         pool = make_pool(
-            pipeline, workers=2, fault_spec="kill-mid-write:0", transport="shm"
+            pipeline, workers=2, faults=[Fault(FaultKind.KILL_MID_WRITE, 0)]
         )
         try:
             reply = pool.submit([payload], request_id="req-torn-write")
@@ -225,23 +248,6 @@ class TestShmTransportFaults:
             assert pipeline.metrics.counter("workers.deaths").value >= 1
             # The torn slot surfaced as a refused frame, not as data.
             assert pipeline.metrics.counter("workers.garbage_frames").value >= 1
-        finally:
-            pool.shutdown()
-
-    def test_kill_mid_write_on_pipe_transport_degenerates_cleanly(
-        self, benign_images, payload
-    ):
-        """The same fault spec on the pipe transport has no slot to tear;
-        it degenerates to die-after-scoring and the failover contract is
-        identical."""
-        pipeline = calibrated_pipeline(benign_images)
-        pool = make_pool(
-            pipeline, workers=2, fault_spec="kill-mid-write:0", transport="pipe"
-        )
-        try:
-            reply = pool.submit([payload], request_id="req-torn-pipe")
-            assert len(reply["verdicts"]) == 1
-            assert pipeline.metrics.counter("workers.requeued").value == 1
         finally:
             pool.shutdown()
 
@@ -275,9 +281,7 @@ class TestEventLoopFaults:
     @pytest.fixture
     def loop_server(self, benign_images):
         pipeline = calibrated_pipeline(benign_images)
-        server = DetectionServer(
-            pipeline, ServerConfig(port=0, frontend="eventloop")
-        )
+        server = DetectionServer(pipeline, ServerConfig(port=0))
         server.start()
         yield server, pipeline
         server.shutdown()
@@ -397,18 +401,21 @@ class TestEventLoopFaults:
 
 
 class TestServerUnderFaults:
-    def test_all_shards_down_is_a_clean_503_then_recovery(self, benign_images):
+    def test_all_shards_down_is_a_clean_503_then_recovery(
+        self, benign_images, monkeypatch
+    ):
         """End to end over HTTP: the only shard crashes on the first
         request (503, not a hang or a 500), respawns under backoff, and
         the service answers again."""
         pipeline = calibrated_pipeline(benign_images)
+        monkeypatch.setattr(
+            WorkerPool, "shard_main", faulty_shard_main([Fault(FaultKind.KILL, 0)])
+        )
         server = DetectionServer(
             pipeline,
             ServerConfig(
                 port=0,
                 workers=1,
-                frontend=SERVER_FRONTEND,
-                fault_injection="kill:0",
                 worker_heartbeat_interval_s=0.05,
                 worker_liveness_timeout_s=1.0,
                 worker_restart_backoff_base_s=0.05,
@@ -441,15 +448,16 @@ class TestServerUnderFaults:
         finally:
             server.shutdown()
 
-    def test_health_reports_worker_outage(self, benign_images):
+    def test_health_reports_worker_outage(self, benign_images, monkeypatch):
         pipeline = calibrated_pipeline(benign_images)
+        monkeypatch.setattr(
+            WorkerPool, "shard_main", faulty_shard_main([Fault(FaultKind.MUTE, 0)])
+        )
         server = DetectionServer(
             pipeline,
             ServerConfig(
                 port=0,
                 workers=1,
-                frontend=SERVER_FRONTEND,
-                fault_injection="mute:0",
                 worker_heartbeat_interval_s=0.05,
                 worker_liveness_timeout_s=0.5,
                 # Backoff far past the test horizon: the outage stays

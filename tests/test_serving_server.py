@@ -18,6 +18,7 @@ import os
 import re
 import socket
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,13 +40,7 @@ from repro.serving.wire import (
     unpack_batch,
 )
 
-from tests.conftest import (
-    MODEL_INPUT,
-    SERVER_FRONTEND,
-    SERVER_TRANSPORT,
-    SERVER_WORKERS,
-    wait_until,
-)
+from tests.conftest import MODEL_INPUT, SERVER_WORKERS, wait_until
 
 
 def _make_pipeline(benign_images, **kwargs) -> ProtectedPipeline:
@@ -55,12 +50,9 @@ def _make_pipeline(benign_images, **kwargs) -> ProtectedPipeline:
 
 
 def _server_config(**kwargs) -> ServerConfig:
-    """Ephemeral port; front end, shard count, and transport follow the
-    ``REPRO_TEST_FRONTEND`` / ``REPRO_TEST_WORKERS`` / ``REPRO_TEST_TRANSPORT``
-    grid (see ``tests/conftest.py``). Tests that gate scoring in-process
+    """Ephemeral port; the shard count follows ``REPRO_TEST_WORKERS`` (see
+    ``tests/conftest.py``). Tests that gate scoring in-process
     (monkeypatched ``submit`` cannot cross a spawn) pass ``workers=0``."""
-    kwargs.setdefault("frontend", SERVER_FRONTEND)
-    kwargs.setdefault("transport", SERVER_TRANSPORT)
     kwargs.setdefault("workers", SERVER_WORKERS)
     return ServerConfig(port=0, **kwargs)
 
@@ -405,16 +397,23 @@ class TestGracefulDrain:
                 c.detect(np.asarray(benign_images[0]))
 
 
-# -- front-end parity grid ----------------------------------------------------
+# -- golden response grid -----------------------------------------------------
 #
-# The event-loop front end promises responses byte-identical to the
-# threaded one. These tests hold the two side by side over raw sockets and
-# compare entire response byte strings, normalizing only what is honestly
-# volatile: the Date header, measured latencies, and shard pids.
+# tests/golden/http_responses.json holds the responses the (since removed)
+# thread-per-connection front end served for every request shape below.
+# The event loop must keep serving the same bytes; only what is honestly
+# volatile is masked: the Date header, the Python version in the Server
+# header, measured latencies, and process ids.
+
+_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "http_responses.json").read_text(encoding="utf-8")
+)
 
 _VOLATILE = (
     (re.compile(rb"Date: [^\r\n]+"), b"Date: <date>"),
+    (re.compile(rb"Python/[0-9]+\.[0-9]+\.[0-9]+"), b"Python/<python>"),
     (re.compile(rb'"latency_ms": [-+0-9.eE]+'), b'"latency_ms": <ms>'),
+    (re.compile(rb'"pid": [0-9]+'), b'"pid": <pid>'),
     (re.compile(rb'"pids": \{[^}]*\}'), b'"pids": <pids>'),
 )
 
@@ -426,7 +425,7 @@ def _normalize(raw: bytes) -> bytes:
 
 
 def _comparable(raw: bytes) -> bytes:
-    """A response reduced to its parity-comparable form. ``Content-Length``
+    """A response reduced to its golden-comparable form. ``Content-Length``
     is first checked against the actual body (so it is never wrong, just
     unequal across variable-width latency floats), then normalized along
     with the other volatile fields."""
@@ -438,6 +437,18 @@ def _comparable(raw: bytes) -> bytes:
             line = b"Content-Length: <n>"
         lines.append(line)
     return _normalize(b"\r\n".join(lines) + sep + body)
+
+
+def _golden(case: str) -> bytes:
+    """The golden response for *case*; ``/healthz`` grows a ``workers``
+    block when the server is sharded."""
+    workers = (
+        f', "workers": {{"configured": {SERVER_WORKERS}, "healthy": {SERVER_WORKERS}, '
+        '"pids": <pids>}'
+        if SERVER_WORKERS
+        else ""
+    )
+    return _GOLDEN["responses"][case].replace("<workers>", workers).encode("latin-1")
 
 
 def _request_bytes(
@@ -484,126 +495,79 @@ _OCTET = ("Content-Type", "application/octet-stream")
 
 
 def _grid_cases(single: bytes, attack: bytes, batch: bytes, max_body: int) -> dict:
-    """Every request shape the grid compares, keyed by case id. Each maps
-    to ``(request bytes, expected status line prefix)``."""
+    """Every request shape the grid sends, keyed by case id."""
     return {
-        "get-healthz": (
-            _request_bytes("GET", "/healthz", _BASE_HEADERS),
-            b"HTTP/1.1 200 ",
+        "get-healthz": _request_bytes("GET", "/healthz", _BASE_HEADERS),
+        "get-404": _request_bytes("GET", "/nope", _BASE_HEADERS),
+        "post-404": _request_bytes(
+            "POST", "/nope", [*_BASE_HEADERS, _OCTET, ("Content-Length", "0")]
         ),
-        "get-404": (
-            _request_bytes("GET", "/nope", _BASE_HEADERS),
-            b"HTTP/1.1 404 ",
+        "detect-benign": _request_bytes(
+            "POST",
+            "/v1/detect",
+            [*_BASE_HEADERS, _OCTET, ("Content-Length", str(len(single)))],
+            single,
         ),
-        "post-404": (
-            _request_bytes(
-                "POST", "/nope", [*_BASE_HEADERS, _OCTET, ("Content-Length", "0")]
-            ),
-            b"HTTP/1.1 404 ",
+        "detect-attack": _request_bytes(
+            "POST",
+            "/v1/detect",
+            [*_BASE_HEADERS, _OCTET, ("Content-Length", str(len(attack)))],
+            attack,
         ),
-        "detect-benign": (
-            _request_bytes(
-                "POST",
-                "/v1/detect",
-                [*_BASE_HEADERS, _OCTET, ("Content-Length", str(len(single)))],
-                single,
-            ),
-            b"HTTP/1.1 200 ",
+        "detect-batch": _request_bytes(
+            "POST",
+            "/v1/detect/batch",
+            [
+                *_BASE_HEADERS,
+                ("Content-Type", "application/x-decamouflage-batch"),
+                ("Content-Length", str(len(batch))),
+            ],
+            batch,
         ),
-        "detect-attack": (
-            _request_bytes(
-                "POST",
-                "/v1/detect",
-                [*_BASE_HEADERS, _OCTET, ("Content-Length", str(len(attack)))],
-                attack,
-            ),
-            b"HTTP/1.1 200 ",
+        "bad-body-400": _request_bytes(
+            "POST",
+            "/v1/detect",
+            [*_BASE_HEADERS, _OCTET, ("Content-Length", "9")],
+            b"not a png",
         ),
-        "detect-batch": (
-            _request_bytes(
-                "POST",
-                "/v1/detect/batch",
-                [
-                    *_BASE_HEADERS,
-                    ("Content-Type", "application/x-decamouflage-batch"),
-                    ("Content-Length", str(len(batch))),
-                ],
-                batch,
-            ),
-            b"HTTP/1.1 200 ",
+        "missing-length-411": _request_bytes(
+            "POST", "/v1/detect", [*_BASE_HEADERS, _OCTET]
         ),
-        "bad-body-400": (
-            _request_bytes(
-                "POST",
-                "/v1/detect",
-                [*_BASE_HEADERS, _OCTET, ("Content-Length", "9")],
-                b"not a png",
-            ),
-            b"HTTP/1.1 400 ",
+        "invalid-length-400": _request_bytes(
+            "POST", "/v1/detect", [*_BASE_HEADERS, _OCTET, ("Content-Length", "abc")]
         ),
-        "missing-length-411": (
-            _request_bytes("POST", "/v1/detect", [*_BASE_HEADERS, _OCTET]),
-            b"HTTP/1.1 411 ",
+        "negative-length-400": _request_bytes(
+            "POST", "/v1/detect", [*_BASE_HEADERS, _OCTET, ("Content-Length", "-5")]
         ),
-        "invalid-length-400": (
-            _request_bytes(
-                "POST", "/v1/detect", [*_BASE_HEADERS, _OCTET, ("Content-Length", "abc")]
-            ),
-            b"HTTP/1.1 400 ",
+        "oversize-length-413": _request_bytes(
+            "POST",
+            "/v1/detect",
+            [*_BASE_HEADERS, _OCTET, ("Content-Length", str(max_body + 1))],
         ),
-        "negative-length-400": (
-            _request_bytes(
-                "POST", "/v1/detect", [*_BASE_HEADERS, _OCTET, ("Content-Length", "-5")]
-            ),
-            b"HTTP/1.1 400 ",
-        ),
-        "oversize-length-413": (
-            _request_bytes(
-                "POST",
-                "/v1/detect",
-                [*_BASE_HEADERS, _OCTET, ("Content-Length", str(max_body + 1))],
-            ),
-            b"HTTP/1.1 413 ",
-        ),
-        "unsupported-method-501": (
-            _request_bytes(
-                "DELETE", "/v1/detect", [*_BASE_HEADERS, ("Content-Length", "0")]
-            ),
-            b"HTTP/1.1 501 ",
+        "unsupported-method-501": _request_bytes(
+            "DELETE", "/v1/detect", [*_BASE_HEADERS, ("Content-Length", "0")]
         ),
     }
 
 
 class TestFrontendParity:
-    """The two front ends, side by side, over raw sockets."""
+    """The event loop against the golden bytes, over raw sockets."""
 
     @pytest.fixture(scope="class")
-    def parity_pair(self, benign_images, tmp_path_factory):
-        """One threaded and one eventloop server over identically
-        calibrated pipelines (sharding per the grid), plus their audit
-        logs, keyed by frontend name."""
-        servers, logs = {}, {}
+    def parity_server(self, benign_images, tmp_path_factory):
+        """One server over a calibrated, audited pipeline (sharding per
+        ``REPRO_TEST_WORKERS``), plus its audit log."""
+        log = AuditLog(tmp_path_factory.mktemp("parity") / "audit.jsonl")
+        server = DetectionServer(
+            _make_pipeline(benign_images, audit_log=log), _server_config()
+        )
+        server.start()
         try:
-            for frontend in ("threaded", "eventloop"):
-                log = AuditLog(tmp_path_factory.mktemp(frontend) / "audit.jsonl")
-                pipeline = _make_pipeline(benign_images, audit_log=log)
-                server = DetectionServer(
-                    pipeline,
-                    ServerConfig(
-                        port=0,
-                        workers=SERVER_WORKERS,
-                        transport=SERVER_TRANSPORT,
-                        frontend=frontend,
-                    ),
-                )
-                server.start()
-                servers[frontend], logs[frontend] = server, log
-                with DetectionClient(*server.address) as probe:
-                    probe.wait_ready(timeout_s=120.0 if SERVER_WORKERS else 10.0)
-            yield servers, logs
+            with DetectionClient(*server.address) as probe:
+                probe.wait_ready(timeout_s=120.0 if SERVER_WORKERS else 10.0)
+            yield server, log
         finally:
-            for server in servers.values():
-                server.shutdown()
+            server.shutdown()
 
     @pytest.fixture(scope="class")
     def grid(self, benign_images, attack_images):
@@ -614,111 +578,55 @@ class TestFrontendParity:
             single, attack, batch, ServerConfig().max_body_bytes
         )
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "get-healthz",
-            "get-404",
-            "post-404",
-            "detect-benign",
-            "detect-attack",
-            "detect-batch",
-            "bad-body-400",
-            "missing-length-411",
-            "invalid-length-400",
-            "negative-length-400",
-            "oversize-length-413",
-            "unsupported-method-501",
-        ],
-    )
-    def test_response_bytes_identical(self, parity_pair, grid, case):
-        servers, _ = parity_pair
-        request, expected_prefix = grid[case]
-        raw = {
-            frontend: _exchange(server.address, [request])[0]
-            for frontend, server in servers.items()
-        }
-        # Guard against "identical because both broke the same way".
-        for frontend, response in raw.items():
-            assert response.startswith(expected_prefix), (
-                f"{frontend}: {response[:120]!r}"
-            )
-        assert _comparable(raw["eventloop"]) == _comparable(raw["threaded"])
+    @pytest.mark.parametrize("case", sorted(_GOLDEN["responses"]))
+    def test_response_bytes_identical(self, parity_server, grid, case):
+        server, _ = parity_server
+        raw = _exchange(server.address, [grid[case]])[0]
+        assert _comparable(raw) == _golden(case)
 
-    def test_metrics_endpoint_headers_identical(self, parity_pair):
-        """Metrics bodies legitimately differ (each server has its own
-        registry); the envelope — status line and header structure — must
-        not."""
-        servers, _ = parity_pair
+    def test_metrics_endpoint_headers_identical(self, parity_server):
+        """The metrics body depends on the registry's contents; the
+        envelope — status line and header structure — must not."""
+        server, _ = parity_server
         request = _request_bytes("GET", "/metrics", _BASE_HEADERS)
-        envelopes = {}
-        for frontend, server in servers.items():
-            head = _exchange(server.address, [request])[0].partition(b"\r\n\r\n")[0]
-            lines = _normalize(head).split(b"\r\n")
-            envelopes[frontend] = [
-                line.partition(b":")[0] if line.startswith(b"Content-Length") else line
-                for line in lines
-            ]
-            assert lines[0] == b"HTTP/1.1 200 OK"
-        assert envelopes["eventloop"] == envelopes["threaded"]
+        head = _exchange(server.address, [request])[0].partition(b"\r\n\r\n")[0]
+        envelope = [
+            line.partition(b":")[0] if line.startswith(b"Content-Length") else line
+            for line in _normalize(head).split(b"\r\n")
+        ]
+        assert [line.decode("latin-1") for line in envelope] == _GOLDEN["metrics_envelope"]
 
-    def test_keep_alive_reuse_bytes_identical(self, parity_pair, grid):
-        """Three requests over ONE connection per server — the event loop's
+    def test_keep_alive_reuse_bytes_identical(self, parity_server, grid):
+        """Three requests over ONE connection — the event loop's
         incremental parser resumes cleanly between keep-alive requests."""
-        servers, _ = parity_pair
-        script = [grid["detect-benign"][0], grid["get-healthz"][0], grid["bad-body-400"][0]]
-        raw = {
-            frontend: _exchange(server.address, script)
-            for frontend, server in servers.items()
-        }
-        for responses in raw.values():
-            assert len(responses) == 3
-            assert responses[0].startswith(b"HTTP/1.1 200 ")
-            assert responses[2].startswith(b"HTTP/1.1 400 ")
-        assert list(map(_comparable, raw["eventloop"])) == list(
-            map(_comparable, raw["threaded"])
-        )
+        server, _ = parity_server
+        cases = ["detect-benign", "get-healthz", "bad-body-400"]
+        responses = _exchange(server.address, [grid[case] for case in cases])
+        assert list(map(_comparable, responses)) == list(map(_golden, cases))
 
-    def test_accounting_parity_counters_and_audit(self, parity_pair, grid):
-        """Identical traffic leaves identical ``server.*`` counter deltas
-        and identical audit trails on both front ends."""
-        servers, logs = parity_pair
-        before = {
-            frontend: server.metrics.counter_values(prefix="server.")
-            for frontend, server in servers.items()
+    def test_accounting_parity_counters_and_audit(self, parity_server, grid):
+        """Known traffic leaves the golden ``server.*`` counter deltas and
+        audit trail."""
+        server, log = parity_server
+        before = server.metrics.counter_values(prefix="server.")
+        audited_before = len(log.records())
+        for index in range(3):
+            request = grid["detect-benign"].replace(
+                b"X-Request-Id: parity-grid", f"X-Request-Id: acct-{index}".encode()
+            )
+            response = _exchange(server.address, [request])[0]
+            assert response.startswith(b"HTTP/1.1 200 ")
+        _exchange(server.address, [grid["bad-body-400"]])
+        after = server.metrics.counter_values(prefix="server.")
+        deltas = {
+            key: after.get(key, 0) - before.get(key, 0)
+            for key in set(after) | set(before)
+            if after.get(key, 0) != before.get(key, 0)
         }
-        audited_before = {
-            frontend: len(log.records()) for frontend, log in logs.items()
-        }
-        single = grid["detect-benign"][0]
-        for frontend, server in servers.items():
-            for index in range(3):
-                request = single.replace(
-                    b"X-Request-Id: parity-grid", f"X-Request-Id: acct-{index}".encode()
-                )
-                response = _exchange(server.address, [request])[0]
-                assert response.startswith(b"HTTP/1.1 200 ")
-            _exchange(server.address, [grid["bad-body-400"][0]])
-        deltas = {}
-        for frontend, server in servers.items():
-            after = server.metrics.counter_values(prefix="server.")
-            changed = {
-                key: after.get(key, 0) - before[frontend].get(key, 0)
-                for key in set(after) | set(before[frontend])
-            }
-            # Only compare families this traffic moved: the eventloop
-            # server counts its own 501s (a family the threaded server
-            # delegates to BaseHTTPRequestHandler), so zero-delta keys
-            # differ by construction.
-            deltas[frontend] = {key: value for key, value in changed.items() if value}
-        assert deltas["eventloop"] == deltas["threaded"]
-        assert deltas["eventloop"]["server.requests"] == 4
-        assert deltas["eventloop"]["server.responses.200"] == 3
-        assert deltas["eventloop"]["server.responses.400"] == 1
-        for frontend, log in logs.items():
-            servers[frontend].pipeline.audit_log.flush()
-            fresh = log.records()[audited_before[frontend] :]
-            assert [r.image_id for r in fresh] == ["acct-0", "acct-1", "acct-2"]
+        assert deltas == _GOLDEN["accounting_deltas"]
+        server.pipeline.audit_log.flush()
+        fresh = log.records()[audited_before:]
+        assert [r.image_id for r in fresh] == _GOLDEN["audited_ids"]
 
 
 _METRIC_LINE = re.compile(

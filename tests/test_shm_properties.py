@@ -42,6 +42,8 @@ from repro.serving.wire import (
     unpack_result,
 )
 
+from tests.fault_injection import flip_byte, free_all_slots, tear_slot
+
 SEED = 0xDECA
 
 
@@ -162,7 +164,7 @@ class TestCorruption:
             ring = ShmRing.create(1, 128)
             try:
                 slot = ring.put(payload)
-                ring.mutate(slot, index, 0x01 + (index % 0xFF))
+                flip_byte(ring, slot, index, 0x01 + (index % 0xFF))
                 with pytest.raises(CodecError):
                     ring.get(slot)
             finally:
@@ -180,12 +182,12 @@ class TestCorruption:
 
     def test_torn_write_never_published(self, ring):
         """A writer killed mid-copy leaves WRITING; the reader refuses it
-        and the slot stays quarantined until the ring is reset."""
-        slot = ring.put_torn(b"A" * 64)
+        and the slot stays quarantined until it is forced FREE."""
+        slot = tear_slot(ring, b"A" * 64)
         with pytest.raises(CodecError, match="not published"):
             ring.get(slot)
         assert ring.occupancy() == 1
-        ring.reset()
+        free_all_slots(ring)
         assert ring.occupancy() == 0
 
     def test_double_get_refused(self, ring):

@@ -1,6 +1,6 @@
 """API-surface pass: import hygiene, ``__all__``, deprecation, and layering.
 
-Absorbs the old ``tools/lint_imports.py`` rules and extends them:
+Four rules:
 
 * ``unused-import`` — a module- or function-level import whose bound name
   is never loaded. Uses include attribute chains, decorators, annotations
