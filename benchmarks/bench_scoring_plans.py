@@ -47,11 +47,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.core.analysis import ImageAnalysis
 from repro.core.ensemble import build_default_ensemble
 from repro.datasets.synthetic import generate_image
+from repro.imaging.coefficients import scaling_operators
 from repro.imaging.color import to_grayscale
 from repro.imaging.image import as_float, ensure_image
 from repro.imaging.metrics import mse, ssim
 from repro.imaging.plans import csp_count_fast, get_scoring_plan, get_spectrum_geometry
-from repro.imaging.scaling import get_scaling_operators
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_scoring_plans.txt"
 
@@ -63,7 +63,7 @@ N_IMAGES = 6
 # and *understate* the speedup; 25 repeats lets the min converge.
 REPEATS = 25
 
-#: The documented plan-mode score tolerance (CSP counts must match exactly).
+#: The documented plan score tolerance (CSP counts must match exactly).
 REL_TOL = 1e-9
 
 
@@ -74,7 +74,7 @@ def _legacy_resize(image: np.ndarray, out_shape, algorithm: str) -> np.ndarray:
     """Pre-plan ``resize``: one GEMM pair per channel in a Python loop."""
     ensure_image(image)
     img = as_float(image)
-    left, right = get_scaling_operators(img.shape[:2], out_shape, algorithm)
+    left, right = scaling_operators(img.shape[:2], out_shape, algorithm)
     if img.ndim == 2:
         return left @ img @ right
     planes = [left @ img[:, :, c] @ right for c in range(img.shape[2])]
@@ -228,11 +228,11 @@ def run_plan_speedup(
     ]
     detectors = build_default_ensemble(MODEL_INPUT, algorithm="bilinear").detectors
 
-    # Warm every cache both paths use: the legacy path's operator cache
-    # and the plan path's compiled plan + spectrum geometry, so the
-    # comparison is steady-state scoring, not first-call compilation.
-    get_scaling_operators(SOURCE_SHAPE, MODEL_INPUT, "bilinear")
-    get_scaling_operators(MODEL_INPUT, SOURCE_SHAPE, "bilinear")
+    # Warm every cache both paths use: the legacy path's coefficient
+    # matrices and the plan path's compiled plan + spectrum geometry, so
+    # the comparison is steady-state scoring, not first-call compilation.
+    scaling_operators(SOURCE_SHAPE, MODEL_INPUT, "bilinear")
+    scaling_operators(MODEL_INPUT, SOURCE_SHAPE, "bilinear")
     get_scoring_plan(SOURCE_SHAPE, MODEL_INPUT, "bilinear")
     get_spectrum_geometry(SOURCE_SHAPE)
     _plan_ensemble_scores(detectors, images[0])

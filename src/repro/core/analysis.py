@@ -24,17 +24,16 @@ hits. Hit/miss counts are tracked per intermediate name and, when a
 ``analysis.<intermediate>.hit`` / ``analysis.<intermediate>.miss``
 counters so a serving dashboard can show the shared-work savings.
 
-Numerics contract: the scoring mode is captured from
-:func:`repro.imaging.plans.scoring_mode` at construction. In **exact**
-mode every intermediate and scalar equals, bit for bit, what the
-pre-context per-detector path produced — the context only removes
-redundant validation, dtype conversion, and recomputation. In **plan**
-mode (the default) scoring runs through precompiled
-:mod:`repro.imaging.plans`: round trips may use the fused banded
+Numerics contract: scoring runs through the precompiled
+:mod:`repro.imaging.plans` — round trips may use the fused banded
 operators, SSIM uses the C separable filter, and the CSP count comes
-from a real FFT — parity-tested at ≤1e-9 relative on MSE/SSIM with CSP
-counts exactly equal. Calibration artifacts record the mode so cached
-thresholds never mix the two.
+from a real FFT. Each is parity-tested against its reference
+(:meth:`~repro.imaging.plans.ScoringPlan.round_trip_exact`,
+:func:`~repro.imaging.metrics.ssim`,
+:func:`~repro.imaging.fourier.csp_count_from_spectrum`) at ≤1e-9
+relative on MSE/SSIM, with CSP counts exactly equal. Otherwise the
+context only removes redundant validation, dtype conversion, and
+recomputation.
 """
 
 from __future__ import annotations
@@ -44,10 +43,10 @@ import numpy as np
 from repro.errors import DetectionError
 from repro.imaging.color import to_grayscale
 from repro.imaging.filtering import FILTERS
-from repro.imaging.fourier import csp_count_from_spectrum, log_spectrum_image
+from repro.imaging.fourier import log_spectrum_image
 from repro.imaging.image import ensure_image
-from repro.imaging.metrics import ssim, ssim_fast
-from repro.imaging.plans import csp_count_fast, get_scoring_plan, scoring_mode
+from repro.imaging.metrics import ssim_fast
+from repro.imaging.plans import csp_count_fast, get_scoring_plan
 from repro.observability import Metrics
 
 __all__ = ["ImageAnalysis"]
@@ -70,15 +69,12 @@ class ImageAnalysis:
     float64 — the context and every consumer treat it as read-only.
     """
 
-    __slots__ = ("image", "metrics", "mode", "_float", "_memo", "_counts")
+    __slots__ = ("image", "metrics", "_float", "_memo", "_counts")
 
     def __init__(self, image: np.ndarray, *, metrics: Metrics | None = None) -> None:
         ensure_image(image)
         self.image = image
         self.metrics = metrics
-        #: scoring mode ("plan" or "exact"), captured at construction so
-        #: one context stays internally consistent across a mode switch.
-        self.mode = scoring_mode()
         self._float: np.ndarray | None = None
         self._memo: dict[tuple, object] = {}
         #: per-intermediate [hits, misses], keyed by the kind name
@@ -163,10 +159,7 @@ class ImageAnalysis:
         if kind == "round_trip":
             _, shape, algorithm, up_algorithm = key
             f = self.float_image
-            plan = get_scoring_plan(f.shape[:2], shape, algorithm, up_algorithm)
-            if self.mode == "plan":
-                return plan.round_trip(f)
-            return plan.round_trip_exact(f)
+            return get_scoring_plan(f.shape[:2], shape, algorithm, up_algorithm).round_trip(f)
         if kind == "filtered":
             _, name, size = key
             if name not in FILTERS:
@@ -179,20 +172,10 @@ class ImageAnalysis:
             return to_grayscale(self.image)
         if kind == "csp":
             _, brightness, lowpass, inner, min_area, min_prominence = key
-            if self.mode == "plan":
-                # Real-FFT fast path: never materializes the normalized
-                # spectrum image (reuses it when already memoized via the
-                # cheaper gray plane).
-                return csp_count_fast(
-                    self.get(("gray",)),
-                    brightness_threshold=brightness,
-                    lowpass_radius_fraction=lowpass,
-                    inner_radius_fraction=inner,
-                    min_area=min_area,
-                    min_prominence=min_prominence,
-                )
-            return csp_count_from_spectrum(
-                self.get(self.log_spectrum_key()),
+            # Real-FFT path: never materializes the normalized spectrum
+            # image, only the cheaper gray plane.
+            return csp_count_fast(
+                self.get(("gray",)),
                 brightness_threshold=brightness,
                 lowpass_radius_fraction=lowpass,
                 inner_radius_fraction=inner,
@@ -205,9 +188,7 @@ class ImageAnalysis:
             # only the redundant per-call float copies are skipped.
             return float(np.mean((self.float_image - other) ** 2))
         if kind == "ssim":
-            if self.mode == "plan":
-                return ssim_fast(self.float_image, self.get(key[1:]))
-            return ssim(self.float_image, self.get(key[1:]))
+            return ssim_fast(self.float_image, self.get(key[1:]))
         raise DetectionError(f"unknown analysis intermediate kind {kind!r}")
 
     def get(self, key: tuple) -> object:
@@ -253,13 +234,11 @@ class ImageAnalysis:
     ) -> np.ndarray:
         """``S = up(down(I))`` through ``shape`` (paper Algorithm 1).
 
-        In exact mode, bit-identical to
-        :func:`repro.imaging.scaling.downscale_then_upscale` on the same
-        image — same operators, same multiplication order. In plan mode
-        the compiled :class:`~repro.imaging.plans.ScoringPlan` may apply
-        the fused banded operators instead (≤1e-9 relative on the
-        derived MSE/SSIM scores; identical whenever the plan's cost
-        model picks the exact strategy).
+        The compiled :class:`~repro.imaging.plans.ScoringPlan` may apply
+        the fused banded operators instead of
+        :func:`repro.imaging.scaling.downscale_then_upscale`'s four
+        matmuls (≤1e-9 relative on the derived MSE/SSIM scores; identical
+        whenever the plan's cost model picks the exact strategy).
         """
         return self.get(self.round_trip_key(shape, algorithm, upscale_algorithm))
 
@@ -284,12 +263,13 @@ class ImageAnalysis:
         min_area: int = 2,
         min_prominence: float = 35.0,
     ) -> int:
-        """Memoized CSP count (paper Algorithm 3), via the mode's path.
+        """Memoized CSP count (paper Algorithm 3).
 
-        Plan mode counts directly from a real FFT of the luma plane
-        (:func:`repro.imaging.plans.csp_count_fast`); exact mode keeps
-        the legacy normalized-spectrum route. Counts agree exactly on
-        the test corpus.
+        Counts directly from a real FFT of the luma plane
+        (:func:`repro.imaging.plans.csp_count_fast`), which agrees
+        exactly with the normalized-spectrum reference
+        :func:`repro.imaging.fourier.csp_count_from_spectrum` on the test
+        corpus.
         """
         return self.get(  # type: ignore[return-value]
             self.csp_key(

@@ -92,8 +92,8 @@ class ScalingDetector(Detector):
         Each slice of :meth:`repro.imaging.plans.ScoringPlan.round_trip_batch`
         equals the per-image application (the batch runs the same GEMM or
         banded contraction per 2-D slice), so scores equal per-image
-        :meth:`score` in both scoring modes. Contexts that already
-        memoized their round trip are left alone.
+        :meth:`score`. Contexts that already memoized their round trip are
+        left alone.
         """
         analyses = [self.as_analysis(image, self.metrics) for image in images]
         key = ImageAnalysis.round_trip_key(
@@ -102,9 +102,8 @@ class ScalingDetector(Detector):
         pending: dict[tuple, list[ImageAnalysis]] = {}
         for analysis in analyses:
             if analysis.peek(key) is None:
-                group_key = (analysis.image.shape, analysis.mode)
-                pending.setdefault(group_key, []).append(analysis)
-        for (shape, mode), group in pending.items():
+                pending.setdefault(analysis.image.shape, []).append(analysis)
+        for shape, group in pending.items():
             plan = get_scoring_plan(
                 shape[:2], self.model_input_shape, self.algorithm,
                 self.upscale_algorithm,
@@ -114,7 +113,7 @@ class ScalingDetector(Detector):
                 if len(chunk) == 1:
                     continue  # no stacking win; score_from computes it
                 stack = np.stack([a.float_image for a in chunk])
-                batch = plan.round_trip_batch(stack, exact=(mode == "exact"))
+                batch = plan.round_trip_batch(stack)
                 for index, analysis in enumerate(chunk):
                     analysis.put(key, batch[index])
         return [self.score_from(analysis) for analysis in analyses]

@@ -84,18 +84,17 @@ class SteganalysisDetector(Detector):
     ) -> list[float]:
         """Fused batch scoring: one stacked real FFT per same-shape group.
 
-        Plan-mode contexts that have not yet memoized their CSP count get
-        their half-spectrum magnitudes from one batched ``rfft2`` and are
+        Contexts that have not yet memoized their CSP count get their
+        half-spectrum magnitudes from one batched ``rfft2`` and are
         counted from those — the same values :func:`csp_count_fast`
         derives image by image, so the scores equal per-image
-        :meth:`score`. Exact-mode contexts fall back to the per-image
-        path unchanged.
+        :meth:`score`.
         """
         analyses = [self.as_analysis(image, self.metrics) for image in images]
         key = ImageAnalysis.csp_key(**self._csp_params())
         pending: dict[tuple[int, int], list[ImageAnalysis]] = {}
         for analysis in analyses:
-            if analysis.mode == "plan" and analysis.peek(key) is None:
+            if analysis.peek(key) is None:
                 pending.setdefault(analysis.image.shape[:2], []).append(analysis)
         for shape, group in pending.items():
             if len(group) == 1:

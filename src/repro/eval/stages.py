@@ -25,7 +25,6 @@ from repro.core.ensemble import DetectionEnsemble
 from repro.core.detector import Detector
 from repro.core.result import Direction, ThresholdRule
 from repro.eval.cache import ExperimentCache
-from repro.imaging.plans import scoring_mode
 
 __all__ = [
     "RunContext",
@@ -86,14 +85,10 @@ def stage(name: str):
 
 
 def _calibration_key(detector: Detector, key_fields: Mapping) -> dict:
-    # Plan and exact scoring agree only to the documented tolerance, so a
-    # threshold calibrated in one mode is not byte-interchangeable with the
-    # other: the mode is part of the cache identity.
     return {
         "data": _ACTIVE.get().data_fingerprint,
         "method": detector.method,
         "metric": detector.metric,
-        "scoring_mode": scoring_mode(),
         **dict(key_fields),
     }
 
@@ -160,7 +155,6 @@ def cached_ensemble_calibration(
     config = {
         "data": context.data_fingerprint,
         "members": members,
-        "scoring_mode": scoring_mode(),
         **dict(key_fields),
     }
     entry = context.cache.load_json("calibration", config)

@@ -13,7 +13,7 @@ reproduction is self-contained:
 * :mod:`repro.imaging.fourier` / :mod:`contours` — spectrum analysis
 * :mod:`repro.imaging.metrics` / :mod:`histogram` — similarity metrics
 * :mod:`repro.imaging.plans` — precompiled scoring plans: fused round-trip
-  operators, cached spectrum geometry, and the plan/exact scoring mode
+  operators and cached spectrum geometry, the one scoring path
 """
 
 from repro.imaging.color import rgb_to_ycbcr, to_grayscale, to_rgb, ycbcr_to_rgb
@@ -49,14 +49,10 @@ from repro.imaging.plans import (
     SpectrumGeometry,
     clear_plan_caches,
     csp_count_fast,
-    exact_mode,
-    exact_mode_enabled,
     geometry_cache_stats,
     get_scoring_plan,
     get_spectrum_geometry,
     plan_cache_stats,
-    scoring_mode,
-    set_exact_mode,
     spectrum_magnitude_half,
     spectrum_magnitude_halves,
 )
@@ -66,7 +62,6 @@ from repro.imaging.scaling import (
     ALGORITHMS,
     clear_operator_cache,
     downscale_then_upscale,
-    get_scaling_operators,
     operator_cache_stats,
     resize,
 )
@@ -91,13 +86,10 @@ __all__ = [
     "csp_count_from_spectrum",
     "downscale_then_upscale",
     "ensure_image",
-    "exact_mode",
-    "exact_mode_enabled",
     "filter_batch",
     "find_regions",
     "gaussian_filter",
     "geometry_cache_stats",
-    "get_scaling_operators",
     "get_scoring_plan",
     "get_spectrum_geometry",
     "histogram_distance",
@@ -113,8 +105,6 @@ __all__ = [
     "plan_cache_stats",
     "psnr",
     "radial_lowpass_mask",
-    "scoring_mode",
-    "set_exact_mode",
     "spectrum_magnitude_half",
     "spectrum_magnitude_halves",
     "decode_netpbm",

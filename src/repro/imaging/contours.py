@@ -12,8 +12,8 @@ a union-find over the run graph — so the cost scales with the number of
 *runs*, not pixels, and the per-pixel Python loop of the original
 breadth-first flood fill is gone. Component numbering still follows the
 row-major order of each component's first pixel, so the labels are
-**bit-identical** to the BFS (kept as :func:`label_components_bfs`, the
-test oracle; the suite also cross-checks against ``scipy.ndimage.label``).
+**bit-identical** to a breadth-first flood fill (the test suite keeps one
+as its oracle and also cross-checks against ``scipy.ndimage.label``).
 
 :func:`find_regions` aggregates area/centroid/bbox directly over the runs
 with ``np.bincount`` instead of rescanning the label image once per label.
@@ -30,11 +30,9 @@ from repro.errors import ImageError
 __all__ = [
     "Region",
     "label_components",
-    "label_components_bfs",
     "label_runs",
     "find_regions",
     "region_stats_from_runs",
-    "region_stats_from_points",
     "count_spectrum_points",
 ]
 
@@ -47,10 +45,6 @@ class Region:
     area: int
     centroid: tuple[float, float]
     bbox: tuple[int, int, int, int]  # (row_min, col_min, row_max, col_max), inclusive
-
-
-_NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-_NEIGHBORS_8 = _NEIGHBORS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 def _check_mask(mask: np.ndarray, connectivity: int) -> np.ndarray:
@@ -70,12 +64,12 @@ def label_runs(
     ``mask[rows[i], starts[i]:ends[i]+1]`` (ends inclusive, runs in
     row-major order) and belongs to component ``components[i]`` in
     ``1..count``. Components are numbered by the row-major position of
-    their first pixel — the same order the BFS assigns — so scattering
-    ``components`` back over the runs reproduces its labels exactly.
+    their first pixel — the same order a breadth-first flood fill
+    assigns — so scattering ``components`` back over the runs reproduces
+    its labels exactly.
 
-    This is the vectorized core shared by :func:`label_components`,
-    :func:`find_regions`, and the fast spectrum path in
-    :mod:`repro.imaging.plans`.
+    This is the vectorized core shared by :func:`label_components` and
+    :func:`find_regions`.
     """
     mask = _check_mask(mask, connectivity)
     h, w = mask.shape
@@ -153,7 +147,7 @@ def label_components(mask: np.ndarray, *, connectivity: int = 8) -> tuple[np.nda
     Returns ``(labels, count)`` where ``labels`` assigns 0 to background and
     ``1..count`` to components. ``connectivity`` is 4 or 8 (default 8,
     matching OpenCV contour behaviour for blob counting). Labels are
-    bit-identical to :func:`label_components_bfs`.
+    bit-identical to a breadth-first flood fill.
     """
     mask = _check_mask(mask, connectivity)
     rows, starts, ends, components, count = label_runs(mask, connectivity=connectivity)
@@ -162,36 +156,6 @@ def label_components(mask: np.ndarray, *, connectivity: int = 8) -> tuple[np.nda
         rows.tolist(), starts.tolist(), ends.tolist(), components.tolist()
     ):
         labels[row, start : end + 1] = component
-    return labels, count
-
-
-def label_components_bfs(
-    mask: np.ndarray, *, connectivity: int = 8
-) -> tuple[np.ndarray, int]:
-    """Reference breadth-first labeling (the pre-vectorization algorithm).
-
-    Kept as the oracle the property tests compare :func:`label_components`
-    against: same signature, same label order, O(foreground pixels) Python
-    flood fill.
-    """
-    mask = _check_mask(mask, connectivity)
-    h, w = mask.shape
-    offsets = _NEIGHBORS_8 if connectivity == 8 else _NEIGHBORS_4
-    labels = np.zeros((h, w), dtype=np.int64)
-    count = 0
-    for r0, c0 in zip(*np.nonzero(mask)):
-        if labels[r0, c0]:
-            continue
-        count += 1
-        stack = [(int(r0), int(c0))]
-        labels[r0, c0] = count
-        while stack:
-            r, c = stack.pop()
-            for dr, dc in offsets:
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < h and 0 <= nc < w and mask[nr, nc] and not labels[nr, nc]:
-                    labels[nr, nc] = count
-                    stack.append((nr, nc))
     return labels, count
 
 
@@ -232,104 +196,6 @@ def region_stats_from_runs(
     bboxes[:, 2] = row_max[1:]
     bboxes[:, 3] = col_max[1:]
     return areas, row_sums, col_sums, bboxes
-
-
-def region_stats_from_points(
-    rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """8-connected component stats for a sparse row-major point list.
-
-    *rows*/*cols* must be non-empty and sorted by ``(row, col)`` —
-    ``np.nonzero`` order. Returns the same ``(areas, row_sums, col_sums,
-    bboxes)`` arrays that :func:`label_runs` + :func:`region_stats_from_runs`
-    produce for the equivalent dense mask (components numbered by first
-    run in row-major order, accumulation in the same run order, so the
-    floats match bit for bit) while touching only the points: the
-    fast-CSP path labels a few hundred bright spectrum bins without
-    materializing a mask, and the per-call cost scales with the point
-    count instead of paying the dense labeler's fixed overhead.
-    """
-    # One pure-Python pass builds the runs: at fast-CSP point counts (a
-    # few hundred) the interpreter loop undercuts the fixed cost of the
-    # half-dozen small-array numpy calls a vectorized scan would need.
-    run_rows: list[int] = []
-    run_c0: list[int] = []
-    run_c1: list[int] = []
-    prev_row = prev_col = None
-    for row, col in zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()):
-        if row == prev_row and col == prev_col + 1:
-            run_c1[-1] = col
-        else:
-            run_rows.append(row)
-            run_c0.append(col)
-            run_c1.append(col)
-        prev_row, prev_col = row, col
-    n_runs = len(run_rows)
-    parent = list(range(n_runs))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    row_first: dict[int, int] = {}
-    for index, row in enumerate(run_rows):
-        row_first.setdefault(row, index)
-    for index in range(n_runs):
-        above = row_first.get(run_rows[index] - 1)
-        if above is None:
-            continue
-        low = run_c0[index] - 1
-        high = run_c1[index] + 1
-        k = above
-        while k < index and run_rows[k] == run_rows[index] - 1 and run_c0[k] <= high:
-            if run_c1[k] >= low:
-                # Smaller run index wins the union, so every component's
-                # root stays its first run — numbering below then matches
-                # the dense labeler's first-run order.
-                root_a, root_b = find(index), find(k)
-                if root_a != root_b:
-                    parent[max(root_a, root_b)] = min(root_a, root_b)
-            k += 1
-
-    component = [0] * n_runs
-    count = 0
-    areas: list[int] = []
-    row_sums: list[int] = []
-    col_sums: list[float] = []
-    bbox: list[list[int]] = []
-    for index in range(n_runs):
-        root = find(index)
-        if root == index:
-            component[index] = count
-            count += 1
-            areas.append(0)
-            row_sums.append(0)
-            col_sums.append(0.0)
-            bbox.append([run_rows[index], run_c0[index], run_rows[index], run_c1[index]])
-        else:
-            component[index] = component[root]
-        comp = component[index]
-        length = run_c1[index] - run_c0[index] + 1
-        areas[comp] += length
-        row_sums[comp] += run_rows[index] * length
-        col_sums[comp] += (run_c0[index] + run_c1[index]) * (length / 2.0)
-        box = bbox[comp]
-        if run_rows[index] < box[0]:
-            box[0] = run_rows[index]
-        if run_c0[index] < box[1]:
-            box[1] = run_c0[index]
-        if run_rows[index] > box[2]:
-            box[2] = run_rows[index]
-        if run_c1[index] > box[3]:
-            box[3] = run_c1[index]
-    return (
-        np.array(areas, dtype=np.int64),
-        np.array(row_sums, dtype=np.float64),
-        np.array(col_sums, dtype=np.float64),
-        np.array(bbox, dtype=np.int64).reshape(count, 4),
-    )
 
 
 def find_regions(mask: np.ndarray, *, connectivity: int = 8, min_area: int = 1) -> list[Region]:

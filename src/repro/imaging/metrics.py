@@ -19,14 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.signal import sepfir2d as _sepfir2d
 
 from repro.errors import ImageError
 from repro.imaging.image import as_float, ensure_image
-
-try:  # SciPy is a declared dependency; guarded for minimal installs.
-    from scipy.signal import sepfir2d as _sepfir2d
-except ImportError:  # pragma: no cover
-    _sepfir2d = None
 
 __all__ = ["mse", "psnr", "ssim", "ssim_fast", "histogram_intersection"]
 
@@ -119,10 +115,10 @@ def _filter2_valid_fast(plane: np.ndarray, window: np.ndarray) -> np.ndarray:
     its same-size output is kept, where boundary handling cannot reach,
     so the values differ from :func:`_filter2_valid` by summation order
     alone (observed ≤1e-15 relative). Falls back to the exact routine
-    for even window sizes (``sepfir2d`` needs odd taps) or without SciPy.
+    for even window sizes (``sepfir2d`` needs odd taps).
     """
     size = window.shape[0]
-    if _sepfir2d is None or size % 2 == 0:
+    if size % 2 == 0:
         return _filter2_valid(plane, window)
     margin = size // 2
     full = _sepfir2d(np.ascontiguousarray(plane), window, window)
@@ -153,13 +149,13 @@ def ssim_fast(
     k2: float = 0.03,
     max_value: float = 255.0,
 ) -> float:
-    """:func:`ssim` with the windowed statistics filtered in C (plan mode).
+    """:func:`ssim` with the windowed statistics filtered in C (the scoring path).
 
     Same windows, constants, and per-channel averaging as :func:`ssim`;
     the five filtered maps per channel come from
     :func:`_filter2_valid_fast`, so scores agree with :func:`ssim` to
-    well under 1e-9 relative (only summation order differs). The exact
-    scoring mode keeps calling :func:`ssim`.
+    well under 1e-9 relative (only summation order differs). :func:`ssim`
+    stays as the reference the parity tests compare against.
     """
     fa, fb = _check_pair(a, b)
     h, w = fa.shape[:2]

@@ -11,57 +11,48 @@ module precompiles both, once per configuration, and caches the results:
   bounded kernel support, so the fused products stay narrow-banded and
   are stored in CSR-style band form (per-row data + offsets). A
   deterministic compile-time cost model picks the cheaper application
-  strategy — fused banded contraction or the exact stacked matmuls — so
-  two processes given the same key always produce the same floats.
+  strategy from the shapes — fused banded contraction or the exact
+  stacked matmuls — so two processes given the same key always produce
+  the same floats.
 * :class:`SpectrumGeometry` — per ``(h, w, lowpass_radius_fraction)``,
-  everything the CSP metric rederives per call today: the radial
-  low-pass mask, the radial-distance grid, the Hermitian index map from
-  centered full-spectrum coordinates into the ``rfft2`` half-spectrum,
-  the low-pass disk index list, and the radius-sorted grid used to
-  answer annulus-median queries with two ``searchsorted`` calls.
-  :func:`csp_count_fast` uses it to score the CSP metric from a real
-  FFT (half the transform work) without materializing the normalized
-  spectrum image.
+  everything the CSP metric would otherwise rederive per call: the
+  radial low-pass mask, the radial-distance grid, the Hermitian index
+  map from centered full-spectrum coordinates into the ``rfft2``
+  half-spectrum, the low-pass disk index list, and the radius-sorted
+  grid used to answer annulus-median queries with two ``searchsorted``
+  calls. :func:`csp_count_fast` uses it to score the CSP metric from a
+  real FFT (half the transform work) without materializing the
+  normalized spectrum image.
 
-Both caches are thread-safe LRUs with the hit/miss stats contract of the
-operator cache (``size``/``maxsize``/``hits``/``misses``/``hit_rate``),
-surfaced through ``pipeline.stats`` and ``/metrics``.
+Both caches are thread-safe LRUs with one hit/miss stats contract
+(``size``/``maxsize``/``hits``/``misses``/``hit_rate``), surfaced
+through ``pipeline.stats`` and ``/metrics``.
 
 Numerics contract
 -----------------
-Plan-mode scores are parity-tested against the exact path at ≤1e-9
-relative on MSE/SSIM; CSP counts are exactly equal on the test corpus.
+This is the only scoring path. It is parity-tested against the
+references kept beside it — :meth:`ScoringPlan.round_trip_exact`,
+:func:`repro.imaging.metrics.ssim` and
+:func:`repro.imaging.fourier.csp_count_from_spectrum` — at ≤1e-9
+relative on MSE/SSIM, with CSP counts exactly equal on the test corpus.
 The differences come only from summation order (banded contraction,
 ``rfft2`` magnitudes); they are zero whenever the cost model selects the
-exact strategy. :func:`set_exact_mode` (or the :func:`exact_mode`
-context manager) restores today's bit-for-bit path end to end;
-:func:`scoring_mode` reports which mode is active so calibration
-artifacts can record their provenance and never mix the two.
+exact strategy.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as _sfft  # pocketfft: bit-identical to NumPy's, ~2x faster
+import scipy.ndimage as _ndimage
 
 from repro.errors import ImageError, ScalingError
-from repro.imaging.contours import region_stats_from_points
 from repro.imaging.coefficients import scaling_operators
-
-try:  # SciPy's pocketfft is bit-identical to NumPy's and ~2x faster.
-    import scipy.fft as _sfft
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _sfft = None
-
-try:  # C-speed connected components for the sparse bright-point stats.
-    import scipy.ndimage as _ndimage
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _ndimage = None
 
 _STRUCTURE_8 = np.ones((3, 3), dtype=np.int32)
 
@@ -79,48 +70,7 @@ __all__ = [
     "csp_count_fast",
     "spectrum_magnitude_half",
     "spectrum_magnitude_halves",
-    "set_exact_mode",
-    "exact_mode_enabled",
-    "exact_mode",
-    "scoring_mode",
 ]
-
-
-# -- scoring mode -----------------------------------------------------------
-
-_EXACT = False
-
-
-def set_exact_mode(enabled: bool) -> None:
-    """Select the bit-for-bit legacy path (True) or plan mode (False).
-
-    Process-wide. :class:`~repro.core.analysis.ImageAnalysis` captures the
-    mode at construction, so contexts created before a switch stay
-    internally consistent.
-    """
-    global _EXACT
-    _EXACT = bool(enabled)
-
-
-def exact_mode_enabled() -> bool:
-    """Whether the bit-for-bit exact path is active."""
-    return _EXACT
-
-
-@contextlib.contextmanager
-def exact_mode(enabled: bool = True) -> Iterator[None]:
-    """Temporarily force exact (or plan) scoring for the enclosed block."""
-    previous = _EXACT
-    set_exact_mode(enabled)
-    try:
-        yield
-    finally:
-        set_exact_mode(previous)
-
-
-def scoring_mode() -> str:
-    """``"exact"`` or ``"plan"`` — recorded in calibration artifacts."""
-    return "exact" if _EXACT else "plan"
 
 
 # -- the cache --------------------------------------------------------------
@@ -129,11 +79,9 @@ def scoring_mode() -> str:
 class PlanCache:
     """Thread-safe LRU mapping hashable keys to compiled plan objects.
 
-    Generalizes the old scaling ``OperatorCache`` (which is now a
-    subclass): same locking discipline — the builder runs *outside* the
-    lock because construction is pure and idempotent, so a rare duplicate
-    build beats serializing every miss — and the same ``stats()``
-    contract (``size``/``maxsize``/``hits``/``misses``/``hit_rate``).
+    The builder runs *outside* the lock because construction is pure and
+    idempotent, so a rare duplicate build beats serializing every miss.
+    ``stats()`` reports ``size``/``maxsize``/``hits``/``misses``/``hit_rate``.
     """
 
     def __init__(self, builder: Callable[[tuple], object], maxsize: int = 64) -> None:
@@ -267,11 +215,11 @@ class ScoringPlan:
         return _apply_band_cols(self.col_band, self.col_offsets, rows)
 
     def round_trip_exact(self, float_image: np.ndarray) -> np.ndarray:
-        """``up(down(I))`` — bit-identical to the legacy per-channel loop.
+        """``up(down(I))`` — the reference :meth:`round_trip` is tested against.
 
-        A batched matmul runs one GEMM per 2-D slice, exactly the GEMMs
-        the old per-channel loop ran, so stacking channels first changes
-        nothing but the Python overhead.
+        Bit-identical to :func:`repro.imaging.scaling.downscale_then_upscale`:
+        the same operators in the same multiplication order, one GEMM per
+        2-D slice.
         """
         if float_image.ndim == 2:
             return self._round_trip_stacked(float_image)
@@ -279,7 +227,7 @@ class ScoringPlan:
         return np.ascontiguousarray(self._round_trip_stacked(planes).transpose(1, 2, 0))
 
     def round_trip(self, float_image: np.ndarray) -> np.ndarray:
-        """``up(down(I))`` via the compiled strategy (plan mode)."""
+        """``up(down(I))`` via the compiled strategy."""
         if not self.fused:
             return self.round_trip_exact(float_image)
         if float_image.ndim == 2:
@@ -287,17 +235,13 @@ class ScoringPlan:
         planes = np.ascontiguousarray(float_image.transpose(2, 0, 1))
         return np.ascontiguousarray(self._round_trip_fused(planes).transpose(1, 2, 0))
 
-    def round_trip_batch(self, stack: np.ndarray, *, exact: bool = False) -> np.ndarray:
+    def round_trip_batch(self, stack: np.ndarray) -> np.ndarray:
         """Round-trip a ``(N, H, W)`` or ``(N, H, W, C)`` stack at once.
 
-        With ``exact=True`` (or when the plan is not fused) the result is
-        bit-identical to calling :meth:`round_trip_exact` per image.
+        Each slice equals :meth:`round_trip` of that image: the batch runs
+        the same GEMM or banded contraction per 2-D slice.
         """
-        apply = (
-            self._round_trip_stacked
-            if exact or not self.fused
-            else self._round_trip_fused
-        )
+        apply = self._round_trip_fused if self.fused else self._round_trip_stacked
         if stack.ndim == 3:
             return apply(stack)
         planes = np.ascontiguousarray(stack.transpose(0, 3, 1, 2))
@@ -446,16 +390,12 @@ def get_spectrum_geometry(
 
 def spectrum_magnitude_half(gray: np.ndarray) -> np.ndarray:
     """``|rfft2(gray)|`` — the half-spectrum magnitudes of a luma plane."""
-    if _sfft is not None:
-        return np.abs(_sfft.rfft2(gray))
-    return np.abs(np.fft.rfft2(gray))
+    return np.abs(_sfft.rfft2(gray))
 
 
 def spectrum_magnitude_halves(stack: np.ndarray) -> np.ndarray:
     """Batched :func:`spectrum_magnitude_half` over a ``(N, H, W)`` stack."""
-    if _sfft is not None:
-        return np.abs(_sfft.rfft2(stack, axes=(-2, -1)))
-    return np.abs(np.fft.rfft2(stack, axes=(-2, -1)))
+    return np.abs(_sfft.rfft2(stack, axes=(-2, -1)))
 
 
 def _median_normalized(
@@ -479,6 +419,41 @@ def _median_normalized(
     return float((a + b) / 2.0)
 
 
+def _point_region_stats(
+    rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """8-connected component stats of a non-empty, row-major point list.
+
+    Only the crop around the points is labeled, through ndimage's C
+    labeler. Returns ``(areas, row_sums, col_sums, bboxes)`` with the
+    meaning :func:`repro.imaging.contours.region_stats_from_runs` gives
+    them for the equivalent dense mask. The sums are integers in float64,
+    so they are exact whatever the component numbering.
+    """
+    top = int(rows[0])
+    left = int(cols.min())
+    local_rows = rows - top
+    local_cols = cols - left
+    patch = np.zeros(
+        (int(rows[-1]) - top + 1, int(cols.max()) - left + 1), dtype=bool
+    )
+    patch[local_rows, local_cols] = True
+    labels, count = _ndimage.label(patch, structure=_STRUCTURE_8)
+    point_labels = labels[local_rows, local_cols]
+    areas = np.bincount(point_labels, minlength=count + 1)[1:]
+    row_sums = np.bincount(point_labels, weights=rows, minlength=count + 1)[1:]
+    col_sums = np.bincount(point_labels, weights=cols, minlength=count + 1)[1:]
+    bboxes = np.empty((count, 4), dtype=np.int64)
+    for index, (rows_slice, cols_slice) in enumerate(_ndimage.find_objects(labels)):
+        bboxes[index] = (
+            rows_slice.start + top,
+            cols_slice.start + left,
+            rows_slice.stop - 1 + top,
+            cols_slice.stop - 1 + left,
+        )
+    return areas, row_sums, col_sums, bboxes
+
+
 def csp_count_fast(
     gray: np.ndarray | None = None,
     *,
@@ -490,7 +465,7 @@ def csp_count_fast(
     min_area: int = 2,
     min_prominence: float = 35.0,
 ) -> int:
-    """The CSP count from a real FFT and cached geometry (plan mode).
+    """The CSP count from a real FFT and cached geometry.
 
     Pass either *gray* (a 2-D luma plane) or a precomputed
     *magnitude_half* (``|rfft2|``, from :func:`spectrum_magnitude_halves`
@@ -518,7 +493,7 @@ def csp_count_fast(
     scale = 255.0 / (high - low)
 
     # Brightness threshold, evaluated only at low-pass disk points with
-    # the same per-element expression the exact path uses. The
+    # the same per-element expression the reference path uses. The
     # normalization is strictly monotone in the magnitude, so inverting
     # it once gives a raw-magnitude cutoff; a relative safety margin
     # far wider than the expression's rounding error makes the raw
@@ -540,56 +515,15 @@ def csp_count_fast(
     inner_radius = inner_radius_fraction * min(h, w)
     if float(geometry.disk_radial[bright].max()) <= inner_radius * (1.0 - 1e-9):
         return 1
-    # The bright points inherit the disk's row-major sort, so they can
-    # be labeled sparsely — same components, same stats as densely
-    # labeling the binary mask, without building one. With scipy the
-    # crop around the bright points goes through ndimage's C labeler;
-    # its component numbering may differ from the dense labeler's, but
-    # the count below is order-invariant and each region's stats are
-    # exact either way (integer and half-integer sums in float64).
-    bright_rows = geometry.disk_rows[bright]
-    bright_cols = geometry.disk_cols[bright]
-    bboxes = None
-    if _ndimage is not None:
-        top = int(bright_rows[0])
-        left = int(bright_cols.min())
-        local_rows = bright_rows - top
-        local_cols = bright_cols - left
-        patch = np.zeros(
-            (int(bright_rows[-1]) - top + 1, int(bright_cols.max()) - left + 1),
-            dtype=bool,
-        )
-        patch[local_rows, local_cols] = True
-        labels, count = _ndimage.label(patch, structure=_STRUCTURE_8)
-        point_labels = labels[local_rows, local_cols]
-        areas = np.bincount(point_labels, minlength=count + 1)[1:]
-        row_sums = np.bincount(
-            point_labels, weights=bright_rows, minlength=count + 1
-        )[1:]
-        col_sums = np.bincount(
-            point_labels, weights=bright_cols, minlength=count + 1
-        )[1:]
-    else:
-        areas, row_sums, col_sums, bboxes = region_stats_from_points(
-            bright_rows, bright_cols
-        )
+    # The bright points inherit the disk's row-major sort, so they can be
+    # labeled sparsely, without building the binary mask.
+    areas, row_sums, col_sums, bboxes = _point_region_stats(
+        geometry.disk_rows[bright], geometry.disk_cols[bright]
+    )
     distances = np.hypot(row_sums / areas - h // 2, col_sums / areas - w // 2)
     keep = (areas >= min_area) & (distances > inner_radius)
     if not keep.any():
         return 1
-    if bboxes is None:
-        # Deferred until a region survives the filters: benign spectra
-        # almost never get here, and only the peak windows need boxes.
-        bboxes = np.empty((count, 4), dtype=np.int64)
-        for index, (rows_slice, cols_slice) in enumerate(
-            _ndimage.find_objects(labels)
-        ):
-            bboxes[index] = (
-                rows_slice.start + top,
-                cols_slice.start + left,
-                rows_slice.stop - 1 + top,
-                cols_slice.stop - 1 + left,
-            )
 
     outer = 0
     backgrounds: dict[tuple[int, int], float] = {}

@@ -9,11 +9,11 @@ attacks, benchmarks). It applies the separable operators from
 which makes the resizer, the attack, and the analysis all agree *exactly* on
 the scaling semantics — the property the reproduction depends on.
 
-Operator pairs are served from a process-wide LRU cache keyed by
-``(src_shape, dst_shape, algorithm)`` so a deployment builds each scaling
-operator once, not once per image. The cache counts hits and misses;
-:func:`operator_cache_stats` exposes them for dashboards (the serving
-pipeline folds them into ``pipeline.stats``).
+The 1-D coefficient matrices behind each operator pair are memoized by
+:func:`repro.imaging.coefficients.scaling_matrix`'s LRU, so a deployment
+builds each one once, not once per image. :func:`operator_cache_stats`
+exposes that cache's hits and misses for dashboards (the serving pipeline
+folds them into ``pipeline.stats``).
 """
 
 from __future__ import annotations
@@ -21,17 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ScalingError
-from repro.imaging.coefficients import scaling_operators
+from repro.imaging.coefficients import scaling_matrix, scaling_operators
 from repro.imaging.image import as_float, ensure_image
-from repro.imaging.plans import PlanCache
 
 __all__ = [
     "resize",
     "downscale_then_upscale",
-    "get_scaling_operators",
     "operator_cache_stats",
     "clear_operator_cache",
-    "OperatorCache",
     "ALGORITHMS",
 ]
 
@@ -39,51 +36,26 @@ __all__ = [
 ALGORITHMS = ("nearest", "bilinear", "bicubic", "lanczos4", "area")
 
 
-class OperatorCache(PlanCache):
-    """Thread-safe LRU cache of ``(L, R)`` scaling operator pairs.
-
-    A :class:`~repro.imaging.plans.PlanCache` whose builder is
-    :func:`~repro.imaging.coefficients.scaling_operators`, keyed by
-    ``((h_in, w_in), (h_out, w_out), algorithm)``. A deployment sees a
-    handful of distinct keys (one per served model size), so the default
-    capacity is generous; eviction exists only to bound memory in
-    pathological sweeps over many sizes.
-    """
-
-    def __init__(self, maxsize: int = 256) -> None:
-        super().__init__(lambda key: scaling_operators(*key), maxsize)
-
-    def get(
-        self,
-        in_shape: tuple[int, int],
-        out_shape: tuple[int, int],
-        algorithm: str = "bilinear",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Return cached ``(L, R)`` with ``scaled = L @ image @ R``."""
-        return self.lookup((tuple(in_shape), tuple(out_shape), algorithm))
-
-
-#: Process-wide operator cache shared by every resize/detector in the process.
-_OPERATOR_CACHE = OperatorCache()
-
-
-def get_scaling_operators(
-    in_shape: tuple[int, int],
-    out_shape: tuple[int, int],
-    algorithm: str = "bilinear",
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(L, R)`` for ``scaled = L @ image @ R``, via the process cache."""
-    return _OPERATOR_CACHE.get(in_shape, out_shape, algorithm)
-
-
 def operator_cache_stats() -> dict[str, float | int]:
-    """Hit/miss statistics of the process-wide operator cache."""
-    return _OPERATOR_CACHE.stats()
+    """Hit/miss statistics of the process-wide coefficient-matrix cache.
+
+    Same keys as the plan caches (``size``/``maxsize``/``hits``/
+    ``misses``/``hit_rate``); one operator pair is two matrix lookups.
+    """
+    info = scaling_matrix.cache_info()
+    total = info.hits + info.misses
+    return {
+        "size": info.currsize,
+        "maxsize": info.maxsize,
+        "hits": info.hits,
+        "misses": info.misses,
+        "hit_rate": (info.hits / total) if total else 0.0,
+    }
 
 
 def clear_operator_cache() -> None:
-    """Reset the process-wide operator cache (tests and benchmarks)."""
-    _OPERATOR_CACHE.clear()
+    """Reset the coefficient-matrix cache and its counters (tests and benchmarks)."""
+    scaling_matrix.cache_clear()
 
 
 def resize(
@@ -103,7 +75,7 @@ def resize(
     if h_out <= 0 or w_out <= 0:
         raise ScalingError(f"output shape must be positive, got {out_shape}")
     img = as_float(image)
-    left, right = get_scaling_operators(img.shape[:2], (h_out, w_out), algorithm)
+    left, right = scaling_operators(img.shape[:2], (h_out, w_out), algorithm)
     if img.ndim == 2:
         return left @ img @ right
     # One batched matmul over channels-first planes: a stacked matmul runs

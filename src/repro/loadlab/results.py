@@ -136,12 +136,24 @@ def summarize_level(
     *,
     resamples: int,
     seed: int,
+    max_requests: int | None = None,
 ) -> dict:
-    """One level's results row: counts, throughput+CI, latency quantiles+CI."""
+    """One level's results row: counts, throughput+CI, latency quantiles+CI.
+
+    A level that spent its *max_requests* budget stopped early, so its
+    duration is the time it actually used — first start to last
+    completion — rather than the planned ``level.duration_s``.
+    """
     rng = np.random.default_rng((seed, _BOOTSTRAP_STREAM, level.index))
     completed = [r for r in records if r.status != 0]
     scored = [r for r in completed if r.status == 200]
     duration = level.duration_s
+    if max_requests is not None and records and len(records) >= max_requests:
+        used = max(r.start_s + r.latency_ms / 1000.0 for r in records) - min(
+            r.start_s for r in records
+        )
+        if used > 0:
+            duration = used
     latencies = np.array([r.latency_ms for r in scored], dtype=np.float64)
 
     # Throughput CI: completions per equal time slot, slot means resampled.
@@ -249,6 +261,7 @@ def build_result(
                 by_level.get(level.index, []),
                 resamples=scenario.bootstrap_resamples,
                 seed=scenario.seed,
+                max_requests=scenario.max_requests_per_level,
             )
             for level in schedule
         ],
@@ -327,7 +340,8 @@ def render_table(result: dict) -> str:
     lines = [
         f"loadlab scenario {scenario['name']!r} "
         f"(fingerprint {result['fingerprint']}, "
-        f"schedule {result['schedule_digest']}, seed {scenario['seed']})",
+        f"schedule {result['schedule_digest']}, seed {scenario['seed']}, "
+        f"host cpu_count={result['host'].get('cpu_count')})",
         f"{'lvl':>3} {'mode':>6} {'intensity':>9} {'sent':>6} {'ok':>6} "
         f"{'throughput':>16} {'p50':>9} {'p95':>9} {'p99':>9}",
     ]

@@ -47,8 +47,6 @@ from repro.imaging.plans import (
     get_scoring_plan,
     get_spectrum_geometry,
     plan_cache_keys,
-    scoring_mode,
-    set_exact_mode,
 )
 from repro.observability import Metrics
 from repro.serving.audit import AuditLog, AuditRecord
@@ -92,9 +90,6 @@ class WorkerSpec:
     #: request pays no plan-build latency.
     warm_plan_keys: tuple = ()
     warm_geometry_keys: tuple = ()
-    #: the parent's scoring mode ("plan" or "exact"), applied in the shard
-    #: before its pipeline is built so shard verdicts match the parent's.
-    scoring_mode: str = "plan"
 
     @classmethod
     def from_pipeline(cls, pipeline: ProtectedPipeline) -> "WorkerSpec":
@@ -126,18 +121,15 @@ class WorkerSpec:
             quarantine_dir=str(audit.quarantine_dir) if quarantines else None,
             warm_plan_keys=tuple(plan_cache_keys()),
             warm_geometry_keys=tuple(geometry_cache_keys()),
-            scoring_mode=scoring_mode(),
         )
 
-    def apply_process_state(self) -> None:
-        """Install the parent's scoring mode and pre-warm the plan caches.
+    def prewarm_caches(self) -> None:
+        """Pre-warm the plan caches.
 
         Called in the shard process before it answers any job: plan/geometry
         compilation happens during the startup grace window instead of on
-        the first request, and the shard scores in the same mode the parent
-        calibrated in.
+        the first request.
         """
-        set_exact_mode(self.scoring_mode == "exact")
         for src_shape, dst_shape, algorithm, upscale in self.warm_plan_keys:
             get_scoring_plan(src_shape, dst_shape, algorithm, upscale)
         for height, width, lowpass in self.warm_geometry_keys:
@@ -261,7 +253,7 @@ class Shard:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.origin = f"worker-{worker_id}"
         self.errors = 0
-        spec.apply_process_state()
+        spec.prewarm_caches()
         self.pipeline = spec.build_pipeline()
         self.job_ring = ShmRing.attach(job_ring_name)
         self.result_ring = ShmRing.attach(result_ring_name)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
@@ -222,6 +224,24 @@ def test_deprecated_import_from_wrong_module_is_flagged():
     source = "from repro.core.detector import calibrate_whitebox\n"
     report = analyze_source(
         source, "d.py", module="repro.eval.d", rules=["api-surface"]
+    )
+    assert "deprecated-name" in codes_of(report)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from repro.imaging.plans import set_exact_mode\n\nset_exact_mode(True)\n",
+        "from repro.imaging import exact_mode\n\nwith exact_mode():\n    pass\n",
+        "import repro.imaging.plans as plans\n\nMODE = plans.scoring_mode()\n",
+        "from repro.imaging.scaling import get_scaling_operators\n\nget_scaling_operators\n",
+        "import repro.imaging.scaling as scaling\n\nCACHE = scaling.OperatorCache()\n",
+        "from repro.imaging.contours import region_stats_from_points\n\nregion_stats_from_points\n",
+    ],
+)
+def test_removed_scoring_paths_are_flagged(source):
+    report = analyze_source(
+        source, "m.py", module="repro.core.m", rules=["api-surface"]
     )
     assert "deprecated-name" in codes_of(report)
 

@@ -1,5 +1,6 @@
 """Batch decision paths: bit-for-bit parity with the per-image paths,
-plus the scaling-operator cache backing them."""
+plus the scaling-operator cache backing them (``scaling_matrix``'s LRU,
+read through ``operator_cache_stats`` / ``clear_operator_cache``)."""
 
 from __future__ import annotations
 
@@ -12,14 +13,8 @@ from repro.core.multiscale import MultiScaleScanner
 from repro.core.result import Direction, ThresholdRule
 from repro.core.scaling_detector import ScalingDetector
 from repro.core.steganalysis_detector import SteganalysisDetector
-from repro.errors import ScalingError
-from repro.imaging.scaling import (
-    OperatorCache,
-    clear_operator_cache,
-    get_scaling_operators,
-    operator_cache_stats,
-    resize,
-)
+from repro.imaging.coefficients import scaling_matrix, scaling_operators
+from repro.imaging.scaling import clear_operator_cache, operator_cache_stats, resize
 
 MODEL_INPUT = (16, 16)
 _GREATER = ThresholdRule(0.0, Direction.GREATER)
@@ -137,56 +132,55 @@ class TestMultiScaleBatch:
 
 
 class TestOperatorCache:
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
+        clear_operator_cache()
+        yield
+        clear_operator_cache()
+
     def test_hit_miss_accounting(self):
-        cache = OperatorCache(maxsize=4)
-        cache.get((8, 8), (4, 4), "bilinear")
-        cache.get((8, 8), (4, 4), "bilinear")
-        stats = cache.stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1 and stats["size"] == 1
+        image = np.zeros((8, 6))
+        resize(image, (4, 3))  # one row matrix, one column matrix
+        resize(image, (4, 3))
+        stats = operator_cache_stats()
+        assert stats["misses"] == 2 and stats["hits"] == 2 and stats["size"] == 2
         assert stats["hit_rate"] == 0.5
 
     def test_cached_pair_is_identical_object(self):
-        cache = OperatorCache()
-        first = cache.get((8, 8), (4, 4), "bilinear")
-        second = cache.get((8, 8), (4, 4), "bilinear")
-        assert first[0] is second[0] and first[1] is second[1]
+        first = scaling_operators((8, 6), (4, 3), "bilinear")
+        second = scaling_operators((8, 6), (4, 3), "bilinear")
+        assert first[0] is second[0]
+        assert first[1].base is second[1].base  # R is a view of one cached matrix
 
     def test_distinct_keys_do_not_collide(self):
-        cache = OperatorCache()
-        a = cache.get((8, 8), (4, 4), "bilinear")
-        b = cache.get((8, 8), (4, 4), "nearest")
-        c = cache.get((8, 8), (6, 6), "bilinear")
-        assert a[0].shape == b[0].shape == (4, 8)
-        assert c[0].shape == (6, 8)
-        assert cache.stats()["misses"] == 3
+        image = np.zeros((8, 8))
+        a = resize(image, (4, 4), "bilinear")
+        b = resize(image, (4, 4), "nearest")
+        c = resize(image, (6, 6), "bilinear")
+        assert a.shape == b.shape == (4, 4)
+        assert c.shape == (6, 6)
+        assert operator_cache_stats()["misses"] == 3
 
     def test_lru_eviction(self):
-        cache = OperatorCache(maxsize=2)
-        cache.get((8, 8), (4, 4), "bilinear")
-        cache.get((8, 8), (5, 5), "bilinear")
-        cache.get((8, 8), (4, 4), "bilinear")  # refresh the first key
-        cache.get((8, 8), (6, 6), "bilinear")  # evicts (5, 5)
-        assert cache.stats()["size"] == 2
-        cache.get((8, 8), (4, 4), "bilinear")
-        assert cache.stats()["hits"] == 2  # (4, 4) survived the eviction
-        cache.get((8, 8), (5, 5), "bilinear")
-        assert cache.stats()["misses"] == 4  # (5, 5) was rebuilt
+        maxsize = operator_cache_stats()["maxsize"]
+        resize(np.zeros((8, 8)), (1, 1))
+        for n_out in range(2, maxsize + 2):
+            scaling_matrix(8, n_out, "bilinear")
+        stats = operator_cache_stats()
+        assert stats["size"] == maxsize
+        resize(np.zeros((8, 8)), (1, 1))
+        assert operator_cache_stats()["misses"] == stats["misses"] + 1  # rebuilt
 
     def test_clear_resets(self):
-        cache = OperatorCache()
-        cache.get((8, 8), (4, 4), "bilinear")
-        cache.clear()
-        stats = cache.stats()
+        resize(np.zeros((8, 8)), (4, 4))
+        clear_operator_cache()
+        stats = operator_cache_stats()
         assert stats == {
-            "size": 0, "maxsize": 256, "hits": 0, "misses": 0, "hit_rate": 0.0,
+            "size": 0, "maxsize": 512, "hits": 0, "misses": 0, "hit_rate": 0.0,
         }
 
-    def test_invalid_maxsize(self):
-        with pytest.raises(ScalingError):
-            OperatorCache(maxsize=0)
-
     def test_operators_match_resize(self, color_image):
-        left, right = get_scaling_operators(color_image.shape[:2], (10, 12), "bilinear")
+        left, right = scaling_operators(color_image.shape[:2], (10, 12), "bilinear")
         expected = resize(color_image, (10, 12), "bilinear")
         img = color_image.astype(np.float64)
         planes = [left @ img[:, :, c] @ right for c in range(3)]
@@ -195,8 +189,8 @@ class TestOperatorCache:
     def test_process_cache_stats_and_clear(self):
         clear_operator_cache()
         assert operator_cache_stats()["size"] == 0
-        get_scaling_operators((8, 8), (4, 4), "bilinear")
-        get_scaling_operators((8, 8), (4, 4), "bilinear")
+        resize(np.zeros((8, 8)), (4, 4), "bilinear")
+        resize(np.zeros((8, 8)), (4, 4), "bilinear")
         stats = operator_cache_stats()
         assert stats["size"] == 1 and stats["hits"] >= 1
         clear_operator_cache()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,29 @@ class TestSummaries:
             assert lo <= hi
         assert row["by_kind"]["garbage"]["statuses"] == {"400": 1}
 
+    def test_capped_level_divides_by_time_used(self):
+        """A level that hits its request cap at 1 s of a planned 3 s
+        reports count / 1 s, not count / 3 s."""
+        scenario = dataclasses.replace(
+            _scenario(),
+            profile=LoadProfile(kind="constant", base=2.0, steps=1,
+                                level_duration_s=3.0),
+            max_requests_per_level=10,
+        )
+        level = compile_schedule(scenario)[0]
+        records = [
+            RequestRecord(level=0, kind="benign", status=200, ok=True,
+                          latency_ms=100.0, start_s=5.0 + index * 0.1)
+            for index in range(10)
+        ]
+        capped = summarize_level(level, records, resamples=50, seed=0,
+                                 max_requests=10)
+        assert capped["duration_s"] == pytest.approx(1.0)
+        assert capped["throughput_rps"]["value"] == pytest.approx(10.0)
+        uncapped = summarize_level(level, records, resamples=50, seed=0,
+                                   max_requests=11)
+        assert uncapped["throughput_rps"]["value"] == pytest.approx(10 / 3.0)
+
     def test_summary_is_deterministic(self):
         scenario = _scenario()
         level = compile_schedule(scenario)[0]
@@ -154,7 +179,7 @@ def _full_result() -> dict:
         pids={"dispatcher": 1234},
         metrics_before="decamouflage_server_requests_total 2\n",
         metrics_after="decamouflage_server_requests_total 20\nqueue_depth 1\n",
-        host={"platform": "test"},
+        host={"platform": "test", "cpu_count": 2},
         wall_s=10.0,
     )
 
@@ -201,4 +226,5 @@ class TestBuildAndValidate:
         assert result["schedule_digest"] in text
         assert "req/s" in text
         assert "dispatcher: pid 1234" in text
+        assert f"host cpu_count={result['host']['cpu_count']}" in text
         assert text.endswith("\n")

@@ -2,13 +2,12 @@
 
 The numerics contract (see ``repro.imaging.plans``) in test form:
 
-* ``round_trip_exact`` is **bit-for-bit** the legacy
-  ``downscale_then_upscale`` path, and batch slices are bit-for-bit the
-  per-image applications;
-* plan-mode round trips keep MSE/SSIM scores within 1e-9 relative of the
-  exact path, and CSP counts **exactly** equal;
-* every vectorized substrate (area matrix, run labeler, fused channel
-  matmul) matches its retained reference implementation exactly.
+* ``round_trip_exact`` is **bit-for-bit** ``downscale_then_upscale``,
+  and batch slices are bit-for-bit the per-image applications;
+* plan round trips keep MSE/SSIM scores within 1e-9 relative of the
+  reference path, and CSP counts **exactly** equal;
+* every vectorized substrate (area matrix, run labeler, sparse point
+  labeler, fused channel matmul) matches its reference exactly.
 
 Sweeps are seeded per case, so a failure names a reproducible image.
 """
@@ -16,38 +15,37 @@ Sweeps are seeded per case, so a failure names a reproducible image.
 import numpy as np
 import pytest
 
+from repro.attacks import AttackConfig, craft_attack_image
+from repro.datasets.synthetic import generate_image
 from repro.errors import ScalingError
-from repro.imaging.coefficients import _area_matrix, _area_matrix_reference
+from repro.imaging.coefficients import (
+    _area_matrix,
+    _area_matrix_reference,
+    scaling_operators,
+)
 from repro.imaging.color import to_grayscale
 from repro.imaging.contours import (
     find_regions,
     label_components,
-    label_components_bfs,
     label_runs,
-    region_stats_from_points,
     region_stats_from_runs,
 )
 from repro.imaging.fourier import csp_count_from_spectrum, log_spectrum_image
+from repro.imaging.image import as_uint8
 from repro.imaging.metrics import mse, ssim, ssim_fast
 from repro.imaging.plans import (
     PlanCache,
+    _point_region_stats,
     csp_count_fast,
-    exact_mode,
     get_scoring_plan,
     get_spectrum_geometry,
-    scoring_mode,
-    set_exact_mode,
     spectrum_magnitude_half,
     spectrum_magnitude_halves,
 )
-from repro.imaging.scaling import (
-    ALGORITHMS,
-    downscale_then_upscale,
-    get_scaling_operators,
-    resize,
-)
+from repro.imaging.scaling import ALGORITHMS, downscale_then_upscale, resize
+from tests.labeling_oracle import label_components_bfs
 
-#: The documented plan-mode score tolerance.
+#: The documented plan score tolerance.
 REL_TOL = 1e-9
 
 # (src_shape, dst_shape, algorithms): the full algorithm grid on small and
@@ -123,15 +121,9 @@ class TestRoundTripParity:
         stack = np.stack(
             [np.asarray(image, np.float64), np.asarray(image[::-1], np.float64)]
         )
-        for exact in (False, True):
-            batch = plan.round_trip_batch(stack, exact=exact)
-            for index in range(stack.shape[0]):
-                single = (
-                    plan.round_trip_exact(stack[index])
-                    if exact
-                    else plan.round_trip(stack[index])
-                )
-                assert np.array_equal(batch[index], single)
+        batch = plan.round_trip_batch(stack)
+        for index in range(stack.shape[0]):
+            assert np.array_equal(batch[index], plan.round_trip(stack[index]))
 
     def test_mixed_upscale_algorithm(self):
         image = _make_image((64, 48), 3, np.uint8, seed=99)
@@ -160,6 +152,35 @@ class TestSpectrumParity:
             fast = csp_count_fast(to_grayscale(image))
             exact = csp_count_from_spectrum(log_spectrum_image(image))
             assert fast == exact, (seed, h, w)
+
+    def test_csp_counts_exactly_equal_on_non_square_attacks(self):
+        """Crafted bilinear attacks at non-square shapes from the
+        mixed-shape serving range reach the sparse labeler: at least one
+        counts more than the central point."""
+        counts = []
+        for shape in [(96, 160), (201, 137), (256, 96)]:
+            for input_shape in [(16, 16), (24, 24)]:
+                for seed in range(2):
+                    rng = np.random.default_rng((seed, *shape))
+                    original = generate_image(shape, rng, family="neurips")
+                    target = resize(
+                        generate_image(shape, rng, family="caltech"),
+                        input_shape,
+                        "bilinear",
+                    )
+                    attack = as_uint8(
+                        craft_attack_image(
+                            original,
+                            target,
+                            algorithm="bilinear",
+                            config=AttackConfig(epsilon=4.0),
+                        ).attack_image
+                    )
+                    fast = csp_count_fast(to_grayscale(attack))
+                    exact = csp_count_from_spectrum(log_spectrum_image(attack))
+                    assert fast == exact, (shape, input_shape, seed)
+                    counts.append(fast)
+        assert max(counts) > 1
 
     def test_batched_halves_match_single(self):
         rng = np.random.default_rng(7)
@@ -255,7 +276,7 @@ class TestLabelerEquivalence:
     def _assert_points_match_runs(mask):
         rows, starts, ends, components, count = label_runs(mask, connectivity=8)
         expected = region_stats_from_runs(rows, starts, ends, components, count)
-        got = region_stats_from_points(*np.nonzero(mask))
+        got = _point_region_stats(*np.nonzero(mask))
         for got_array, want_array in zip(got, expected):
             assert got_array.dtype == want_array.dtype
             assert np.array_equal(got_array, want_array)
@@ -297,7 +318,7 @@ class TestChannelFusion:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_resize_color_bit_identical_to_per_channel(self, algorithm):
         image = _make_image((41, 37), 3, np.float64, seed=5)
-        left, right = get_scaling_operators((41, 37), (13, 11), algorithm)
+        left, right = scaling_operators((41, 37), (13, 11), algorithm)
         reference = np.stack(
             [left @ image[:, :, c] @ right for c in range(3)], axis=2
         )
@@ -335,30 +356,3 @@ class TestPlanCacheContract:
         assert cache.keys() == []
         assert cache.stats()["hits"] == 0
         assert cache.stats()["misses"] == 0
-
-
-class TestScoringMode:
-    def test_context_manager_restores(self):
-        assert scoring_mode() == "plan"
-        with exact_mode():
-            assert scoring_mode() == "exact"
-            with exact_mode():
-                assert scoring_mode() == "exact"
-            assert scoring_mode() == "exact"
-        assert scoring_mode() == "plan"
-
-    def test_set_exact_mode_round_trips(self):
-        try:
-            set_exact_mode(True)
-            assert scoring_mode() == "exact"
-        finally:
-            set_exact_mode(False)
-        assert scoring_mode() == "plan"
-
-    def test_analysis_captures_mode_at_construction(self, benign_images):
-        from repro.core.analysis import ImageAnalysis
-
-        with exact_mode():
-            frozen = ImageAnalysis(benign_images[0])
-        assert frozen.mode == "exact"
-        assert ImageAnalysis(benign_images[0]).mode == "plan"

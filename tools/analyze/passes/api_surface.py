@@ -27,11 +27,12 @@ from analyze.passes.base import AnalysisPass, PassContext
 
 __all__ = ["ApiSurfacePass", "LAYER_RANKS", "DEPRECATED_NAMES"]
 
-#: Method spellings removed under the deprecation policy; referencing one
-#: as an attribute is an error. PR 2 removed the ``Detector.calibrate_*``
-#: shims, but the module-level functions in ``repro.core.thresholds`` are
-#: stable API — so an owner listed in ``allowed_owners`` (the rightmost
-#: name of the attribute chain being called on) is exempt.
+#: Names removed under the deprecation policy; importing one or
+#: referencing it as an attribute is an error. The ``Detector.calibrate_*``
+#: shims are gone, but the module-level functions in
+#: ``repro.core.thresholds`` are stable API — so an owner listed in
+#: ``allowed_owners`` (the rightmost name of the attribute chain being
+#: called on) is exempt.
 DEPRECATED_NAMES: dict[str, dict] = {
     "calibrate_whitebox": {
         "hint": "use calibrate(..., strategy='midpoint'/'sigma') "
@@ -42,6 +43,37 @@ DEPRECATED_NAMES: dict[str, dict] = {
         "hint": "use calibrate(..., strategy='percentile') "
         "(repro.core.thresholds.calibrate_blackbox remains stable API)",
         "allowed_owners": {"thresholds"},
+    },
+    # The exact scoring mode, the second operator cache and the
+    # point-list labeler were removed: plans are the one scoring path.
+    "set_exact_mode": {
+        "hint": "there is one scoring path; compare against the references "
+        "(ScoringPlan.round_trip_exact, ssim, csp_count_from_spectrum) directly",
+        "allowed_owners": set(),
+    },
+    "exact_mode": {
+        "hint": "there is one scoring path; compare against the references "
+        "(ScoringPlan.round_trip_exact, ssim, csp_count_from_spectrum) directly",
+        "allowed_owners": set(),
+    },
+    "scoring_mode": {
+        "hint": "there is one scoring path, so there is no mode to record",
+        "allowed_owners": set(),
+    },
+    "get_scaling_operators": {
+        "hint": "use repro.imaging.coefficients.scaling_operators "
+        "(memoized by scaling_matrix's LRU)",
+        "allowed_owners": set(),
+    },
+    "OperatorCache": {
+        "hint": "scaling_matrix's LRU is the operator cache; read it through "
+        "operator_cache_stats() / clear_operator_cache()",
+        "allowed_owners": set(),
+    },
+    "region_stats_from_points": {
+        "hint": "csp_count_fast labels with scipy.ndimage; dense masks use "
+        "label_runs + region_stats_from_runs",
+        "allowed_owners": set(),
     },
 }
 
