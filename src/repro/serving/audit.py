@@ -19,7 +19,36 @@ from repro.core.result import EnsembleDetection
 from repro.errors import ReproError
 from repro.imaging.png import write_png
 
-__all__ = ["AuditRecord", "AuditLog"]
+__all__ = ["AuditRecord", "AuditLog", "decision_fields"]
+
+
+def decision_fields(detection: EnsembleDetection) -> dict:
+    """The decision as the wire verdict and the audit record both carry it:
+    verdict, votes, and per-detector scores and threshold rules."""
+    return {
+        "verdict": "attack" if detection.is_attack else "benign",
+        "votes_for_attack": detection.votes_for_attack,
+        "votes_total": detection.votes_total,
+        "scores": {
+            f"{d.method}/{d.metric}": float(d.score) for d in detection.detections
+        },
+        "thresholds": {
+            f"{d.method}/{d.metric}": d.threshold.describe(d.metric)
+            for d in detection.detections
+        },
+    }
+
+
+#: The wire-verdict keys an audit record copies.
+_VERDICT_FIELDS = (
+    "image_id",
+    "verdict",
+    "action",
+    "votes_for_attack",
+    "votes_total",
+    "scores",
+    "thresholds",
+)
 
 
 @dataclass(frozen=True)
@@ -48,18 +77,22 @@ class AuditRecord:
         return cls(
             image_id=image_id,
             sequence=sequence,
-            verdict="attack" if detection.is_attack else "benign",
             action=action,
-            votes_for_attack=detection.votes_for_attack,
-            votes_total=detection.votes_total,
-            scores={
-                f"{d.method}/{d.metric}": float(d.score) for d in detection.detections
-            },
-            thresholds={
-                f"{d.method}/{d.metric}": d.threshold.describe(d.metric)
-                for d in detection.detections
-            },
             quarantine_path=quarantine_path,
+            **decision_fields(detection),
+        )
+
+    @classmethod
+    def from_verdict(
+        cls, verdict: dict, sequence: int, quarantine_path: str | None = None
+    ) -> "AuditRecord":
+        """The record for one wire verdict
+        (:func:`repro.serving.pipeline.verdict_payload`). Raises
+        ``KeyError``/``TypeError`` when *verdict* lacks a field."""
+        return cls(
+            sequence=sequence,
+            quarantine_path=quarantine_path,
+            **{name: verdict[name] for name in _VERDICT_FIELDS},
         )
 
 

@@ -20,6 +20,14 @@ decides what happens on a hit. Usage::
     outcomes = pipeline.submit_batch(batch)      # vectorized decision path
     pipeline.stats.as_dict()                     # counters + p50/p95 + cache
 
+Submitting is two steps. :meth:`ProtectedPipeline.screen` scores and
+applies the policy; :meth:`ProtectedPipeline.record` assigns sequence
+numbers, counts ``stats`` and appends the audit records, from the wire
+verdict dicts (:func:`verdict_payload`). ``submit``/``submit_batch`` run
+screen, then record. The detection server screens wherever the job runs
+(in the dispatcher or a worker shard) and records in the dispatcher, so
+sequences follow completion order at every worker count.
+
 The pipeline never mutates accepted benign inputs (the paper's core
 argument for detection over prevention); only the explicit SANITIZE policy
 touches pixels, and only for flagged images.
@@ -32,8 +40,8 @@ one slow disk cannot stall concurrent submissions.
 
 from __future__ import annotations
 
+import itertools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,24 +49,29 @@ import numpy as np
 from repro.core.analysis import ImageAnalysis
 from repro.core.ensemble import DetectionEnsemble, build_default_ensemble
 from repro.core.result import EnsembleDetection
-from repro.errors import DetectionError
+from repro.errors import DetectionError, ReproError
 from repro.imaging.plans import geometry_cache_stats, plan_cache_stats
 from repro.imaging.scaling import operator_cache_stats, resize
 from repro.observability import Metrics
-from repro.serving.audit import AuditLog, AuditRecord
+from repro.serving.audit import AuditLog, AuditRecord, decision_fields
 from repro.serving.policy import Policy
 
 __all__ = [
     "PipelineOutcome",
     "PipelineStats",
     "ProtectedPipeline",
+    "batch_image_ids",
+    "cache_stats",
     "verdict_payload",
 ]
+
+#: What the policy can do with a screened image; one stats counter each.
+_ACTIONS = ("accepted", "rejected", "quarantined", "sanitized")
 
 
 @dataclass(frozen=True)
 class PipelineOutcome:
-    """Result of submitting one image."""
+    """Result of screening one image."""
 
     image_id: str
     accepted: bool
@@ -66,6 +79,18 @@ class PipelineOutcome:
     detection: EnsembleDetection
     #: the model-ready input; None when the image was rejected/quarantined
     model_input: np.ndarray | None
+    #: where the QUARANTINE policy stored the image; None otherwise
+    quarantine_path: str | None = None
+
+
+def cache_stats() -> dict[str, dict]:
+    """The process-wide scaling-operator, scoring-plan and spectrum-geometry
+    cache stats, keyed by the family names ``as_dict`` and ``/metrics`` use."""
+    return {
+        "operator_cache": operator_cache_stats(),
+        "plan_cache": plan_cache_stats(),
+        "spectrum_geometry": geometry_cache_stats(),
+    }
 
 
 @dataclass
@@ -74,8 +99,8 @@ class PipelineStats:
 
     ``as_dict()`` augments the action counters with the per-detector and
     per-stage latency summaries (p50/p95/p99) from the attached
-    :class:`~repro.observability.Metrics` registry and the process-wide
-    scaling-operator, scoring-plan, and spectrum-geometry cache hit rates.
+    :class:`~repro.observability.Metrics` registry and the
+    :func:`cache_stats` families.
     """
 
     submitted: int = 0
@@ -86,14 +111,12 @@ class PipelineStats:
     #: observability registry shared with the pipeline (not a counter)
     metrics: Metrics | None = field(default=None, repr=False, compare=False)
 
+    def counts(self) -> dict[str, int]:
+        """``submitted`` plus one counter per action."""
+        return {name: getattr(self, name) for name in ("submitted", *_ACTIONS)}
+
     def as_dict(self) -> dict:
-        out: dict = {
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "quarantined": self.quarantined,
-            "sanitized": self.sanitized,
-        }
+        out: dict = self.counts()
         if self.metrics is not None:
             out["latency_ms"] = self.metrics.latency_summaries()
             memo = self.metrics.counter_values("analysis.")
@@ -101,10 +124,13 @@ class PipelineStats:
                 # Shared-analysis savings: hits are intermediates a second
                 # consumer got for free, misses are actual computations.
                 out["analysis_memo"] = memo
-        out["operator_cache"] = operator_cache_stats()
-        out["plan_cache"] = plan_cache_stats()
-        out["spectrum_geometry"] = geometry_cache_stats()
+        out.update(cache_stats())
         return out
+
+
+def batch_image_ids(prefix: str, count: int) -> list[str]:
+    """The ids of a *count*-image batch: ``<prefix>-00000``, ..."""
+    return [f"{prefix}-{index:05d}" for index in range(count)]
 
 
 def verdict_payload(
@@ -112,26 +138,19 @@ def verdict_payload(
 ) -> dict:
     """The JSON-ready wire verdict for one outcome.
 
-    This is THE serialization of a detection decision — the HTTP server and
-    the worker shards both call it, so a sharded deployment answers
+    This is THE serialization of a detection decision — every detect job
+    builds it wherever it runs, and :meth:`ProtectedPipeline.record`
+    accounts from it, so a sharded deployment answers and records
     bit-for-bit what an in-process one would.
     """
-    detection = outcome.detection
+    decision = decision_fields(outcome.detection)
     return {
         "request_id": request_id,
         "image_id": outcome.image_id,
-        "verdict": "attack" if detection.is_attack else "benign",
+        "verdict": decision.pop("verdict"),
         "action": outcome.action,
         "accepted": outcome.accepted,
-        "votes_for_attack": detection.votes_for_attack,
-        "votes_total": detection.votes_total,
-        "scores": {
-            f"{d.method}/{d.metric}": float(d.score) for d in detection.detections
-        },
-        "thresholds": {
-            f"{d.method}/{d.metric}": d.threshold.describe(d.metric)
-            for d in detection.detections
-        },
+        **decision,
         "latency_ms": latency_ms,
     }
 
@@ -194,15 +213,38 @@ class ProtectedPipeline:
 
     # -- the hot path --------------------------------------------------------
 
+    def screen(
+        self, images: list[np.ndarray], image_ids: list[str]
+    ) -> list[PipelineOutcome]:
+        """Score *images* and apply the policy to each: scale, sanitize, or
+        write the quarantine file.
+
+        No sequencing, stats or audit: :meth:`record` does that. One image
+        scores through ``detect_from``, more through the vectorized
+        ``detect_batch``; both give bit-identical verdicts.
+        """
+        if not self.is_calibrated:
+            raise DetectionError("pipeline is not calibrated; call calibrate() first")
+        if len(image_ids) != len(images):
+            raise ReproError(f"{len(image_ids)} image ids for {len(images)} images")
+        if not images:
+            return []
+        with self.metrics.timer("pipeline.screen"):
+            analyses = [self.ensemble.analyze(image) for image in images]
+            if len(analyses) == 1:
+                detections = [self.ensemble.detect_from(analyses[0])]
+            else:
+                detections = self.ensemble.detect_batch(analyses)
+        return [
+            self._resolve(analysis, identifier, detection)
+            for analysis, identifier, detection in zip(analyses, image_ids, detections)
+        ]
+
     def _resolve(
-        self,
-        analysis: ImageAnalysis,
-        identifier: str,
-        sequence: int,
-        detection: EnsembleDetection,
-    ) -> tuple[PipelineOutcome, AuditRecord | None]:
-        """Apply the response policy to one screened image (pure + I/O-free
-        except for the explicit quarantine write)."""
+        self, analysis: ImageAnalysis, identifier: str, detection: EnsembleDetection
+    ) -> PipelineOutcome:
+        """Apply the response policy to one screened image (I/O-free except
+        for the explicit quarantine write)."""
         image = analysis.image
         quarantine_path: str | None = None
         if not detection.is_attack:
@@ -231,127 +273,89 @@ class ProtectedPipeline:
             )
             model_input = resize(sanitized, self.model_input_shape, self.algorithm)
 
-        outcome = PipelineOutcome(
+        return PipelineOutcome(
             image_id=identifier,
             accepted=model_input is not None,
             action=action,
             detection=detection,
             model_input=model_input,
+            quarantine_path=quarantine_path,
         )
-        record = (
-            AuditRecord.from_detection(
-                identifier, sequence, detection, action, quarantine_path
+
+    def record(
+        self, verdicts: list[dict], quarantine_paths: list[str | None]
+    ) -> range:
+        """Account screened verdicts: the one place that assigns sequence
+        numbers, counts ``stats`` and appends audit records.
+
+        *verdicts* are wire verdict dicts (:func:`verdict_payload`), whether
+        scored here or in a worker shard; *quarantine_paths* pairs each with
+        its stored image, or None. Returns the sequence numbers assigned,
+        in order. A malformed verdict raises :class:`DetectionError`
+        before anything is counted.
+        """
+        if len(quarantine_paths) != len(verdicts):
+            raise DetectionError(
+                f"{len(quarantine_paths)} quarantine paths for {len(verdicts)} verdicts"
             )
-            if self.audit_log is not None
-            else None
-        )
-        return outcome, record
-
-    def _count(self, action: str) -> None:
-        """Bump the counters for one resolved action (caller holds the lock)."""
-        self.stats.submitted += 1
-        setattr(self.stats, action, getattr(self.stats, action) + 1)
-
-    def submit(self, image: np.ndarray, *, image_id: str | None = None) -> PipelineOutcome:
-        """Screen one image and produce the model input per policy."""
-        if not self.is_calibrated:
-            raise DetectionError("pipeline is not calibrated; call calibrate() first")
         with self._lock:
-            self._sequence += 1
-            sequence = self._sequence
-        identifier = image_id or f"image-{sequence:06d}"
-
-        # Pure computation — outside the lock so submissions parallelize.
-        # One shared analysis context carries the image through screening
-        # and into quarantine artifacts.
-        with self.metrics.timer("pipeline.screen"):
-            analysis = self.ensemble.analyze(image)
-            detection = self.ensemble.detect_from(analysis)
-        outcome, record = self._resolve(analysis, identifier, sequence, detection)
-
-        with self._lock:
-            self._count(outcome.action)
-        if record is not None:
+            first = self._sequence + 1
+            try:
+                records = [
+                    AuditRecord.from_verdict(verdict, sequence, path)
+                    for sequence, verdict, path in zip(
+                        itertools.count(first), verdicts, quarantine_paths
+                    )
+                ]
+            except (KeyError, TypeError) as exc:
+                raise DetectionError(f"malformed verdict: {exc!r}") from exc
+            unknown = {record.action for record in records} - set(_ACTIONS)
+            if unknown:
+                raise DetectionError(f"unknown verdict actions {sorted(unknown)}")
+            self._sequence += len(records)
+            self.stats.submitted += len(records)
+            for record in records:
+                setattr(self.stats, record.action, getattr(self.stats, record.action) + 1)
+        if self.audit_log is not None and records:
             # Disk write outside the pipeline lock: the audit log has its
             # own I/O lock, so a slow disk only stalls other writers, not
             # the scoring/stats path.
             with self.metrics.timer("pipeline.audit"):
-                self.audit_log.append(record)
-        return outcome
-
-    def record_remote_outcome(self, action: str) -> int:
-        """Account one verdict scored by a worker shard; returns the
-        canonical sequence number.
-
-        Sharded deployments keep the parent's pipeline as the single source
-        of truth for ``stats`` and audit sequencing — workers score, the
-        dispatcher records — so ``pipeline.stats`` reads the same whether
-        scoring happened here or in a shard.
-        """
-        with self._lock:
-            self._sequence += 1
-            self._count(action)
-            return self._sequence
-
-    def submit_batch(
-        self,
-        images: list[np.ndarray],
-        *,
-        prefix: str = "batch",
-        max_workers: int = 1,
-    ) -> list[PipelineOutcome]:
-        """Screen a list of images with generated sequential ids.
-
-        The whole batch goes through the ensemble's vectorized
-        ``detect_batch`` path, so verdicts are bit-identical to per-image
-        :meth:`submit` at higher throughput. ``max_workers > 1``
-        additionally splits the batch across a thread pool — the scoring
-        math is numpy-heavy and releases the GIL, so offline curation of
-        large pools scales with cores. Outcomes keep the input order.
-        """
-        if not self.is_calibrated:
-            raise DetectionError("pipeline is not calibrated; call calibrate() first")
-        images = list(images)
-        if not images:
-            return []
-        identifiers = [f"{prefix}-{index:05d}" for index in range(len(images))]
-        with self._lock:
-            first = self._sequence + 1
-            self._sequence += len(images)
-        sequences = range(first, first + len(images))
-
-        analyses = [self.ensemble.analyze(image) for image in images]
-        with self.metrics.timer("pipeline.screen"):
-            if max_workers <= 1 or len(analyses) <= 1:
-                detections = self.ensemble.detect_batch(analyses)
-            else:
-                # Chunks are disjoint, so each context is touched by
-                # exactly one worker — no cross-thread memo races.
-                workers = min(max_workers, len(analyses))
-                bounds = np.linspace(0, len(analyses), workers + 1).astype(int)
-                chunks = [
-                    analyses[bounds[i]:bounds[i + 1]]
-                    for i in range(workers)
-                    if bounds[i] < bounds[i + 1]
-                ]
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    parts = list(pool.map(self.ensemble.detect_batch, chunks))
-                detections = [d for part in parts for d in part]
-
-        outcomes: list[PipelineOutcome] = []
-        records: list[AuditRecord] = []
-        for analysis, identifier, sequence, detection in zip(
-            analyses, identifiers, sequences, detections
-        ):
-            outcome, record = self._resolve(analysis, identifier, sequence, detection)
-            outcomes.append(outcome)
-            if record is not None:
-                records.append(record)
-        with self._lock:
-            for outcome in outcomes:
-                self._count(outcome.action)
-        if records:
-            with self.metrics.timer("pipeline.audit"):
                 for record in records:
                     self.audit_log.append(record)
+        return range(first, first + len(records))
+
+    def _submit(self, images: list[np.ndarray], image_ids: list[str]) -> list[PipelineOutcome]:
+        outcomes = self.screen(images, image_ids)
+        self.record(
+            [
+                verdict_payload(outcome, request_id=outcome.image_id, latency_ms=0.0)
+                for outcome in outcomes
+            ],
+            [outcome.quarantine_path for outcome in outcomes],
+        )
         return outcomes
+
+    def submit(self, image: np.ndarray, *, image_id: str | None = None) -> PipelineOutcome:
+        """Screen and record one image; produce the model input per policy.
+
+        Without *image_id* the image is named after the sequence number it
+        is about to take (``image-000001``, ...), which holds for serial use.
+        """
+        if not image_id:
+            with self._lock:
+                image_id = f"image-{self._sequence + 1:06d}"
+        return self._submit([image], [image_id])[0]
+
+    def submit_batch(
+        self, images: list[np.ndarray], *, prefix: str = "batch"
+    ) -> list[PipelineOutcome]:
+        """Screen and record a list of images with generated ids
+        (``<prefix>-00000``, ...).
+
+        A batch of two or more goes through the ensemble's vectorized
+        ``detect_batch`` path, so verdicts are bit-identical to per-image
+        :meth:`submit` at higher throughput. Outcomes keep the input order.
+        """
+        images = list(images)
+        return self._submit(images, batch_image_ids(prefix, len(images)))

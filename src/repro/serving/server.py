@@ -22,6 +22,13 @@ with ``Retry-After``; a deadline overrun answers ``503``. SIGTERM (or
 accepting, in-flight requests finish, and the audit log is flushed, so an
 accepted request is never dropped.
 
+Every detect request runs one job function,
+:func:`repro.serving.workers.score_job` (decode, screen, serialize), in
+the dispatcher when ``workers=0`` or on a shard otherwise, and then
+exactly one :meth:`ProtectedPipeline.record` call here, which assigns the
+audit sequence (in completion order), counts ``pipeline.stats`` and
+appends the audit records.
+
 Every request carries an ``X-Request-Id`` (client-provided or generated)
 that is echoed in the response, used as the pipeline ``image_id`` (and so
 threaded into audit records), and printed on the server's log lines.
@@ -49,18 +56,11 @@ import uuid
 from dataclasses import dataclass
 
 from repro.errors import CodecError, DetectionError, ImageError, ReproError
-from repro.imaging.plans import geometry_cache_stats, plan_cache_stats
-from repro.imaging.scaling import operator_cache_stats
 from repro.observability import Metrics, render_process_metrics, render_prometheus
-from repro.serving.audit import AuditRecord
 from repro.serving.eventloop import EventLoopFrontend
-from repro.serving.pipeline import ProtectedPipeline, verdict_payload
-from repro.serving.wire import (
-    METRICS_CONTENT_TYPE,
-    decode_image_payload,
-    unpack_batch,
-)
-from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec
+from repro.serving.pipeline import ProtectedPipeline, cache_stats
+from repro.serving.wire import METRICS_CONTENT_TYPE, unpack_batch
+from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec, score_job
 
 __all__ = ["ServerConfig", "DetectionServer", "AdmissionQueue", "WireResponse"]
 
@@ -87,8 +87,8 @@ class ServerConfig:
     socket_timeout_s: float = 10.0
     #: Print one log line per request to stderr.
     verbose: bool = False
-    #: Scoring shard processes (:mod:`repro.serving.workers`); 0 keeps the
-    #: in-process scoring path exactly as before.
+    #: Scoring shard processes (:mod:`repro.serving.workers`); 0 runs the
+    #: detect job in the dispatcher.
     workers: int = 0
     #: Shard lifecycle knobs, forwarded to :class:`WorkerPoolConfig`.
     worker_heartbeat_interval_s: float = 0.25
@@ -301,9 +301,9 @@ class DetectionServer:
             )
         try:
             with self.metrics.timer("server.request"):
-                if path == "/v1/detect":
-                    return self._detect_single_response(body, request_id, requestline)
-                return self._detect_batch_response(body, request_id, requestline)
+                return self._detect_response(
+                    path == "/v1/detect/batch", body, request_id, requestline
+                )
         finally:
             self.admission.release()
 
@@ -329,37 +329,26 @@ class DetectionServer:
             retry_after_s=self.config.retry_after_s,
         )
 
-    def _detect_single_response(
-        self, body: bytes, request_id: str, requestline: str
+    def _detect_response(
+        self, batch: bool, body: bytes, request_id: str, requestline: str
     ) -> WireResponse:
         start = time.perf_counter()
         try:
-            payload = self.score_single(body, request_id)
-        except (CodecError, ImageError) as exc:
-            return self._error_response(400, str(exc), request_id, requestline)
-        except DetectionError as exc:
-            return self._error_response(503, str(exc), request_id, requestline)
-        payload["latency_ms"] = (time.perf_counter() - start) * 1000.0
-        self._log(f'"{requestline}" 200 {payload["verdict"]} [{request_id}]')
-        return self._json_response(200, payload, request_id=request_id)
-
-    def _detect_batch_response(
-        self, body: bytes, request_id: str, requestline: str
-    ) -> WireResponse:
-        start = time.perf_counter()
-        try:
-            results = self.score_batch(body, request_id)
+            verdicts = self._score(batch, body, request_id)
         except (CodecError, ImageError) as exc:
             return self._error_response(400, str(exc), request_id, requestline)
         except DetectionError as exc:
             return self._error_response(503, str(exc), request_id, requestline)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        for result in results:
-            result["latency_ms"] = elapsed_ms
-        self._log(f'"{requestline}" 200 batch={len(results)} [{request_id}]')
-        return self._json_response(
-            200, {"request_id": request_id, "results": results}, request_id=request_id
-        )
+        for verdict in verdicts:
+            verdict["latency_ms"] = elapsed_ms
+        if batch:
+            self._log(f'"{requestline}" 200 batch={len(verdicts)} [{request_id}]')
+            return self._json_response(
+                200, {"request_id": request_id, "results": verdicts}, request_id=request_id
+            )
+        self._log(f'"{requestline}" 200 {verdicts[0]["verdict"]} [{request_id}]')
+        return self._json_response(200, verdicts[0], request_id=request_id)
 
     def _wire_response(
         self,
@@ -418,71 +407,18 @@ class DetectionServer:
         """The shard pool when serving with ``workers > 0``; else None."""
         return self._pool
 
-    def score_single(self, body: bytes, request_id: str) -> dict:
-        """Score one raw image body into a wire verdict dict."""
-        if self._pool is not None:
-            reply = self._pool.submit([body], request_id=request_id, batch=False)
-            verdicts = self._record_sharded(reply)
-            if len(verdicts) != 1:
-                raise DetectionError(
-                    f"worker returned {len(verdicts)} verdicts for a single image"
-                )
-            return verdicts[0]
-        image = decode_image_payload(body, origin=request_id)
-        outcome = self.pipeline.submit(image, image_id=request_id)
-        return verdict_payload(outcome, request_id=request_id, latency_ms=0.0)
-
-    def score_batch(self, body: bytes, request_id: str) -> list[dict]:
-        """Score one batch body into a list of wire verdict dicts."""
-        payloads = unpack_batch(body, origin=request_id)
-        if self._pool is not None:
-            reply = self._pool.submit(payloads, request_id=request_id, batch=True)
-            return self._record_sharded(reply)
-        images = [
-            decode_image_payload(blob, origin=f"{request_id}[{index}]")
-            for index, blob in enumerate(payloads)
-        ]
-        outcomes = self.pipeline.submit_batch(images, prefix=request_id)
-        return [
-            verdict_payload(outcome, request_id=request_id, latency_ms=0.0)
-            for outcome in outcomes
-        ]
-
-    def _record_sharded(self, reply: dict) -> list[dict]:
-        """Fold shard verdicts into the canonical pipeline accounting:
-        sequence numbers, ``pipeline.stats``, and JSONL audit records all
-        live here in the dispatcher, never in a shard."""
-        verdicts = reply.get("verdicts")
-        paths = reply.get("quarantine_paths")
-        if not isinstance(verdicts, list):
-            raise DetectionError("worker reply is missing its verdict list")
-        if not isinstance(paths, list) or len(paths) != len(verdicts):
-            paths = [None] * len(verdicts)
-        records = []
-        try:
-            for verdict, path in zip(verdicts, paths):
-                sequence = self.pipeline.record_remote_outcome(verdict["action"])
-                if self.pipeline.audit_log is not None:
-                    records.append(
-                        AuditRecord(
-                            image_id=verdict["image_id"],
-                            sequence=sequence,
-                            verdict=verdict["verdict"],
-                            action=verdict["action"],
-                            votes_for_attack=verdict["votes_for_attack"],
-                            votes_total=verdict["votes_total"],
-                            scores=verdict["scores"],
-                            thresholds=verdict["thresholds"],
-                            quarantine_path=path,
-                        )
-                    )
-        except (KeyError, TypeError) as exc:
-            raise DetectionError(f"worker returned a malformed verdict: {exc}") from exc
-        if records:
-            with self.metrics.timer("pipeline.audit"):
-                for record in records:
-                    self.pipeline.audit_log.append(record)
-        return verdicts
+    def _score(self, batch: bool, body: bytes, request_id: str) -> list[dict]:
+        """Run one detect job, in this process or on a shard, then record
+        its verdicts: the only place the server sequences, counts and
+        audits."""
+        payloads = unpack_batch(body, origin=request_id) if batch else [body]
+        kind = "batch" if batch else "single"
+        if self._pool is None:
+            reply = score_job(self.pipeline, kind, request_id, payloads)
+        else:
+            reply = self._pool.submit(payloads, request_id=request_id, batch=batch)
+        self.pipeline.record(reply["verdicts"], reply["quarantine_paths"])
+        return reply["verdicts"]
 
     # -- introspection -------------------------------------------------------
 
@@ -521,18 +457,12 @@ class DetectionServer:
         point-in-time pipeline action counts, the operator/plan/geometry
         cache stats, and — when sharded — per-worker families labeled by
         ``worker_id``."""
-        stats = self.pipeline.stats
         extra = {
-            f"pipeline.{name}": float(getattr(stats, name))
-            for name in ("submitted", "accepted", "rejected", "quarantined", "sanitized")
+            f"pipeline.{name}": float(value)
+            for name, value in self.pipeline.stats.counts().items()
         }
-        caches = {
-            "operator_cache": operator_cache_stats(),
-            "plan_cache": plan_cache_stats(),
-            "spectrum_geometry": geometry_cache_stats(),
-        }
-        for family, cache_stats in caches.items():
-            for key, value in cache_stats.items():
+        for family, stats in cache_stats().items():
+            for key, value in stats.items():
                 extra[f"{family}.{key}"] = float(value)
         labeled = self._pool.labeled_families() if self._pool is not None else {}
         body = render_prometheus(

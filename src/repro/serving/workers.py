@@ -16,19 +16,22 @@ dispatch threads become thin dispatchers speaking the
   liveness deadline, crash detection, automatic respawn under bounded
   exponential backoff, and requeue-exactly-once failover for jobs that
   were in flight on a dead shard (a second failure answers 503).
-* :class:`Shard` — the shard process: decode, score, reply; send a
-  heartbeat whenever idle for one interval.
+* :func:`score_job` — the one detect job: decode, screen, serialize the
+  verdicts. Shards run it; a server without shards runs it in the
+  dispatcher.
+* :class:`Shard` — the shard process: run jobs, reply; send a heartbeat
+  whenever idle for one interval.
 
 Frames travel through two per-shard :class:`~repro.serving.shm.ShmRing`
 segments (one per direction); the pipe carries 8-byte slot refs,
 heartbeats, and control. A frame larger than one slot, or one that finds
 its ring full, rides the pipe whole instead — the per-frame fallback.
 
-Division of labour: shards score and write quarantine artifacts (they hold
-the memoized analysis intermediates); the dispatcher keeps the canonical
-``pipeline.stats``, sequence numbers, and JSONL audit records via
-:meth:`ProtectedPipeline.record_remote_outcome` — so a sharded deployment
-reads identically to an in-process one from the outside.
+Division of labour: shards screen and write quarantine artifacts (they
+hold the memoized analysis intermediates) and never record; the
+dispatcher passes every reply to :meth:`ProtectedPipeline.record`, which
+keeps ``pipeline.stats``, sequence numbers and JSONL audit records — the
+same call a server without shards makes.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ from repro.imaging.plans import (
     plan_cache_keys,
 )
 from repro.observability import Metrics
-from repro.serving.audit import AuditLog, AuditRecord
-from repro.serving.pipeline import ProtectedPipeline, verdict_payload
+from repro.serving.audit import AuditLog
+from repro.serving.pipeline import ProtectedPipeline, batch_image_ids, verdict_payload
 from repro.serving.policy import Policy
 from repro.serving.shm import RingFull, ShmRing, decode_slot_ref, encode_slot_ref
 from repro.serving.wire import (
@@ -61,7 +64,7 @@ from repro.serving.wire import (
     unpack_result,
 )
 
-__all__ = ["Shard", "WorkerSpec", "WorkerPoolConfig", "WorkerPool"]
+__all__ = ["Shard", "WorkerSpec", "WorkerPoolConfig", "WorkerPool", "score_job"]
 
 
 # -- what a shard needs to know ---------------------------------------------
@@ -138,11 +141,10 @@ class WorkerSpec:
     def build_pipeline(self) -> ProtectedPipeline:
         """Reconstruct the calibrated pipeline inside a shard process."""
         detectors = pickle.loads(self.detectors_pickle)
+        # Quarantine writes only: a shard never records, so never appends.
         audit_log = None
         if self.audit_log_path and self.quarantine_dir:
-            audit_log = _QuarantineOnlyAuditLog(
-                self.audit_log_path, quarantine_dir=self.quarantine_dir
-            )
+            audit_log = AuditLog(self.audit_log_path, quarantine_dir=self.quarantine_dir)
         return ProtectedPipeline(
             self.model_input_shape,
             algorithm=self.algorithm,
@@ -153,77 +155,41 @@ class WorkerSpec:
         )
 
 
-class _QuarantineOnlyAuditLog(AuditLog):
-    """Shard-side audit log: artifacts here, records at the dispatcher.
-
-    Quarantine PNG/artifact writes stay in the shard because only it holds
-    the memoized analysis intermediates, and request-scoped image ids keep
-    filenames collision-free across shards. JSONL records are the
-    dispatcher's job (single canonical sequence), so ``append`` only
-    remembers the quarantine path for the wire reply.
-    """
-
-    def __init__(self, log_path, *, quarantine_dir) -> None:
-        super().__init__(log_path, quarantine_dir=quarantine_dir)
-        self._quarantine_paths: dict[str, str] = {}
-
-    def append(self, record: AuditRecord) -> None:
-        if record.quarantine_path is not None:
-            self._quarantine_paths[record.image_id] = record.quarantine_path
-
-    def pop_quarantine_path(self, image_id: str) -> str | None:
-        return self._quarantine_paths.pop(image_id, None)
+# -- the one detect job -------------------------------------------------------
 
 
-# -- the shard process --------------------------------------------------------
-
-
-def _shard_snapshot(pipeline: ProtectedPipeline, errors: int) -> dict:
-    """The per-heartbeat stats a shard reports to the dispatcher."""
-    stats = pipeline.stats
-    screen = pipeline.metrics.histogram("pipeline.screen").summary()
-    return {
-        "submitted": stats.submitted,
-        "accepted": stats.accepted,
-        "rejected": stats.rejected,
-        "quarantined": stats.quarantined,
-        "sanitized": stats.sanitized,
-        "errors": errors,
-        "screen_ms": {
-            key: round(float(screen.get(key, 0.0)), 3)
-            for key in ("count", "mean_ms", "p50_ms", "p95_ms")
-        },
-    }
-
-
-def _score_job(
+def score_job(
     pipeline: ProtectedPipeline, kind: str, request_id: str, payloads: list[bytes]
-) -> bytes:
-    """Decode, score, and serialize one job's verdicts (shard side)."""
+) -> dict:
+    """Decode, screen, and serialize one detect job's verdicts.
+
+    A shard runs it; with no shards the dispatcher runs it directly. Either
+    way the reply, ``{"verdicts": [...], "quarantine_paths": [...]}``, goes
+    to the dispatcher's :meth:`ProtectedPipeline.record`, so nothing here
+    sequences, counts or audits.
+    """
     start = time.perf_counter()
     if kind == "single":
-        image = decode_image_payload(payloads[0], origin=request_id)
-        outcomes = [pipeline.submit(image, image_id=request_id)]
+        images = [decode_image_payload(payloads[0], origin=request_id)]
+        image_ids = [request_id]
     else:
         images = [
             decode_image_payload(blob, origin=f"{request_id}[{index}]")
             for index, blob in enumerate(payloads)
         ]
-        outcomes = pipeline.submit_batch(images, prefix=request_id)
+        image_ids = batch_image_ids(request_id, len(images))
+    outcomes = pipeline.screen(images, image_ids)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    quarantine_paths: list[str | None] = []
-    for outcome in outcomes:
-        path = None
-        if isinstance(pipeline.audit_log, _QuarantineOnlyAuditLog):
-            path = pipeline.audit_log.pop_quarantine_path(outcome.image_id)
-        quarantine_paths.append(path)
-    verdicts = [
-        verdict_payload(outcome, request_id=request_id, latency_ms=elapsed_ms)
-        for outcome in outcomes
-    ]
-    return json.dumps(
-        {"verdicts": verdicts, "quarantine_paths": quarantine_paths}
-    ).encode("utf-8")
+    return {
+        "verdicts": [
+            verdict_payload(outcome, request_id=request_id, latency_ms=elapsed_ms)
+            for outcome in outcomes
+        ],
+        "quarantine_paths": [outcome.quarantine_path for outcome in outcomes],
+    }
+
+
+# -- the shard process --------------------------------------------------------
 
 
 class Shard:
@@ -252,6 +218,8 @@ class Shard:
         self.restarts = restarts
         self.heartbeat_interval_s = heartbeat_interval_s
         self.origin = f"worker-{worker_id}"
+        #: images screened and jobs failed, for the heartbeat snapshot
+        self.submitted = 0
         self.errors = 0
         spec.prewarm_caches()
         self.pipeline = spec.build_pipeline()
@@ -303,18 +271,28 @@ class Shard:
 
     def heartbeat(self) -> bool:
         """Report this shard's stats; False once the dispatcher is gone."""
-        snapshot = json.dumps(_shard_snapshot(self.pipeline, self.errors)).encode("utf-8")
-        return self.send(pack_result("hb", "-", snapshot))
+        screen = self.pipeline.metrics.histogram("pipeline.screen").summary()
+        snapshot = {
+            "submitted": self.submitted,
+            "errors": self.errors,
+            "screen_ms": {
+                key: round(float(screen.get(key, 0.0)), 3)
+                for key in ("count", "mean_ms", "p50_ms", "p95_ms")
+            },
+        }
+        return self.send(pack_result("hb", "-", json.dumps(snapshot).encode("utf-8")))
 
     def score(self, kind: str, job_id: str, request_id: str, payloads: list[bytes]) -> bytes:
         """Score one job into its result frame: ``ok`` with the verdicts,
         or ``err`` carrying the exception for the dispatcher to re-raise."""
         try:
-            return pack_result("ok", job_id, _score_job(self.pipeline, kind, request_id, payloads))
+            reply = score_job(self.pipeline, kind, request_id, payloads)
         except Exception as exc:  # shipped to the dispatcher, not swallowed
             self.errors += 1
             descriptor = {"type": type(exc).__name__, "message": str(exc)}
             return pack_result("err", job_id, json.dumps(descriptor).encode("utf-8"))
+        self.submitted += len(reply["verdicts"])
+        return pack_result("ok", job_id, json.dumps(reply).encode("utf-8"))
 
     def reply(self, job_id: str, frame: bytes) -> bool:
         """Deliver one result frame; False once the dispatcher is gone."""
@@ -652,10 +630,10 @@ class WorkerPool:
     ) -> dict:
         """Route one request to a healthy shard and wait for its verdicts.
 
-        Returns the shard's reply: ``{"verdicts": [...],
-        "quarantine_paths": [...]}``. Raises what the in-process path would
-        (CodecError/ImageError for bad payloads, DetectionError when no
-        shard can answer).
+        Returns the shard's :func:`score_job` reply, checked to hold one
+        verdict and one quarantine path per payload. Raises what the
+        in-process path would (CodecError/ImageError for bad payloads,
+        DetectionError when no shard can answer or the reply is malformed).
         """
         with self._lock:
             if self._closed:
@@ -685,9 +663,17 @@ class WorkerPool:
         if job.result_kind == "err":
             raise _error_from_wire(job.body or b"")
         try:
-            return json.loads((job.body or b"").decode("utf-8"))
+            reply = json.loads((job.body or b"").decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise DetectionError(f"worker returned malformed verdicts: {exc}") from exc
+        if not (
+            isinstance(reply, dict)
+            and isinstance(reply.get("verdicts"), list)
+            and isinstance(reply.get("quarantine_paths"), list)
+            and len(reply["verdicts"]) == len(reply["quarantine_paths"]) == len(payloads)
+        ):
+            raise DetectionError(f"worker reply for {job_id} does not match its job")
+        return reply
 
     def _pick_target(self, exclude: int | None = None) -> _WorkerHandle | None:
         with self._lock:

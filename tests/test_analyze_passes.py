@@ -237,6 +237,8 @@ def test_deprecated_import_from_wrong_module_is_flagged():
         "from repro.imaging.scaling import get_scaling_operators\n\nget_scaling_operators\n",
         "import repro.imaging.scaling as scaling\n\nCACHE = scaling.OperatorCache()\n",
         "from repro.imaging.contours import region_stats_from_points\n\nregion_stats_from_points\n",
+        "def account(pipeline):\n    return pipeline.record_remote_outcome('accepted')\n",
+        "def path_of(log, image_id):\n    return log.pop_quarantine_path(image_id)\n",
     ],
 )
 def test_removed_scoring_paths_are_flagged(source):

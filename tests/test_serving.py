@@ -94,32 +94,6 @@ class TestStatsAndIds:
         assert outcomes[0].image_id == "up-00000"
         assert outcomes[1].image_id == "up-00001"
 
-    def test_parallel_batch_matches_sequential(self, benign_images, attack_images):
-        from repro.serving import ProtectedPipeline
-
-        images = list(benign_images[:4]) + list(attack_images[:2])
-
-        def fresh():
-            pipeline = ProtectedPipeline(MODEL_INPUT)
-            pipeline.calibrate(benign_images, percentile=5.0)
-            return pipeline
-
-        sequential = fresh().submit_batch(images, max_workers=1)
-        parallel_pipeline = fresh()
-        parallel = parallel_pipeline.submit_batch(images, max_workers=4)
-        assert [o.action for o in sequential] == [o.action for o in parallel]
-        assert [o.image_id for o in sequential] == [o.image_id for o in parallel]
-        assert parallel_pipeline.stats.submitted == len(images)
-
-    def test_parallel_audit_log_complete(self, benign_images, tmp_path):
-        from repro.serving import AuditLog, ProtectedPipeline
-
-        log = AuditLog(tmp_path / "p.jsonl")
-        pipeline = ProtectedPipeline(MODEL_INPUT, audit_log=log)
-        pipeline.calibrate(benign_images, percentile=5.0)
-        pipeline.submit_batch(list(benign_images), max_workers=3)
-        assert len(log.records()) == len(benign_images)
-
 
 class TestBatchParity:
     def _fresh(self, benign_images):
@@ -138,17 +112,6 @@ class TestBatchParity:
             assert [d.score for d in b.detection.detections] == [
                 d.score for d in s.detection.detections
             ]
-
-    def test_parallel_batch_stats_match_serial(self, benign_images, attack_images):
-        images = list(benign_images[:4]) + list(attack_images[:3])
-        serial = self._fresh(benign_images)
-        serial.submit_batch(images, max_workers=1)
-        parallel = self._fresh(benign_images)
-        parallel.submit_batch(images, max_workers=4)
-        serial_stats = serial.stats.as_dict()
-        parallel_stats = parallel.stats.as_dict()
-        for key in ("submitted", "accepted", "rejected", "quarantined", "sanitized"):
-            assert parallel_stats[key] == serial_stats[key]
 
     def test_empty_batch(self, pipeline):
         assert pipeline.submit_batch([]) == []

@@ -18,6 +18,7 @@ import os
 import re
 import socket
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ def _make_pipeline(benign_images, **kwargs) -> ProtectedPipeline:
 def _server_config(**kwargs) -> ServerConfig:
     """Ephemeral port; the shard count follows ``REPRO_TEST_WORKERS`` (see
     ``tests/conftest.py``). Tests that gate scoring in-process
-    (monkeypatched ``submit`` cannot cross a spawn) pass ``workers=0``."""
+    (monkeypatched ``screen`` cannot cross a spawn) pass ``workers=0``."""
     kwargs.setdefault("workers", SERVER_WORKERS)
     return ServerConfig(port=0, **kwargs)
 
@@ -158,6 +159,60 @@ class TestEndToEnd:
         assert status == 404
 
 
+class TestAuditParityAcrossWorkerCounts:
+    def _audit_trail(self, workers, benign_images, attack_images, root: Path):
+        """Serve serially a benign single, an attack single and a mixed
+        2-image batch under QUARANTINE; return the JSONL records (with the
+        quarantine path reduced to its file name) and the stored files."""
+        log = AuditLog(root / "audit.jsonl", quarantine_dir=root / "q")
+        pipeline = _make_pipeline(
+            benign_images, policy=Policy.QUARANTINE, audit_log=log
+        )
+        server = DetectionServer(pipeline, _server_config(workers=workers))
+        server.start()
+        benign, attack = as_uint8(benign_images[0]), as_uint8(attack_images[0])
+        try:
+            with DetectionClient(*server.address) as client:
+                client.wait_ready(timeout_s=120.0 if workers else 10.0)
+                client.detect(benign, request_id="one-benign")
+                client.detect(attack, request_id="one-attack")
+                client.detect_batch([benign, attack], request_id="mixed")
+        finally:
+            server.shutdown()
+        records = [
+            {
+                **asdict(record),
+                "quarantine_path": record.quarantine_path
+                and Path(record.quarantine_path).name,
+            }
+            for record in log.records()
+        ]
+        return records, {path.name for path in (root / "q").iterdir()}
+
+    def test_audit_and_quarantine_match_in_process_and_sharded(
+        self, benign_images, attack_images, tmp_path
+    ):
+        """The dispatcher records what the job returns wherever it ran, so
+        the audit trail and the quarantine files are the same at 0 and 1
+        workers: sequences, verdicts, scores, rules and paths."""
+        in_process, stored_here = self._audit_trail(
+            0, benign_images, attack_images, tmp_path / "w0"
+        )
+        sharded, stored_there = self._audit_trail(
+            1, benign_images, attack_images, tmp_path / "w1"
+        )
+        assert sharded == in_process
+        assert [r["sequence"] for r in in_process] == [1, 2, 3, 4]
+        assert [r["image_id"] for r in in_process] == [
+            "one-benign", "one-attack", "mixed-00000", "mixed-00001"
+        ]
+        assert [r["quarantine_path"] for r in in_process] == [
+            None, "one-attack.png", None, "mixed-00001.png"
+        ]
+        assert stored_there == stored_here
+        assert {"one-attack.png", "mixed-00001.png"} <= stored_here
+
+
 class TestHealth:
     def test_ready_payload(self, served):
         _, client, _ = served
@@ -198,15 +253,15 @@ class TestHealth:
 
 
 def _block_submissions(pipeline, gate: threading.Event, started: threading.Event):
-    """Make every submit wait on *gate* (instance-level wrap, test only)."""
-    original = pipeline.submit
+    """Make every screen wait on *gate* (instance-level wrap, test only)."""
+    original = pipeline.screen
 
-    def slow_submit(image, **kwargs):
+    def slow_screen(images, image_ids):
         started.set()
         assert gate.wait(timeout=30.0), "test gate never opened"
-        return original(image, **kwargs)
+        return original(images, image_ids)
 
-    pipeline.submit = slow_submit
+    pipeline.screen = slow_screen
 
 
 class TestAdmissionControl:

@@ -3,18 +3,21 @@
 These spawn real worker processes (``multiprocessing`` spawn context), so
 the pool fixtures are module-scoped and kept small. Crash/fault behaviour
 lives in ``tests/test_serving_faults.py``; this file covers the sunny-day
-contract: sharded verdicts are bit-for-bit the in-process ones, and the
-dispatcher keeps canonical stats.
+contract: sharded verdicts are bit-for-bit the in-process ones, and
+``ProtectedPipeline.record`` keeps the books from their wire verdicts.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.errors import CodecError, DetectionError, ReproError
 from repro.imaging.image import as_uint8
+from repro.serving.audit import AuditLog, AuditRecord
 from repro.serving.pipeline import ProtectedPipeline, verdict_payload
 from repro.serving.wire import encode_image_payload
 from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec
@@ -208,15 +211,77 @@ class TestPipeFallback:
             pool.shutdown()
 
 
-class TestRemoteAccounting:
-    def test_record_remote_outcome_advances_sequence_and_stats(self, benign_images):
+class TestRecord:
+    def test_record_sequences_counts_and_audits_verdict_dicts(
+        self, benign_images, attack_images, tmp_path
+    ):
+        """``screen`` leaves the books alone; ``record`` turns wire verdict
+        dicts into sequence numbers, stats and audit records."""
+        log = AuditLog(tmp_path / "audit.jsonl")
+        pipeline = calibrated_pipeline(benign_images, audit_log=log)
+        images = [as_uint8(benign_images[0]), as_uint8(attack_images[0])]
+        outcomes = pipeline.screen(images, ["rec-0", "rec-1"])
+        assert pipeline.stats.submitted == 0
+        assert log.records() == []
+        verdicts = [
+            verdict_payload(outcome, request_id="rec", latency_ms=1.5)
+            for outcome in outcomes
+        ]
+        paths = [None, "q/rec-1.png"]
+        assert list(pipeline.record(verdicts[:1], paths[:1])) == [1]
+        assert list(pipeline.record(verdicts[1:], paths[1:])) == [2]
+        assert pipeline.stats.counts() == {
+            "submitted": 2,
+            "accepted": 1,
+            "rejected": 1,
+            "quarantined": 0,
+            "sanitized": 0,
+        }
+        assert log.records() == [
+            AuditRecord.from_detection(
+                outcome.image_id, sequence, outcome.detection, outcome.action, path
+            )
+            for sequence, outcome, path in zip((1, 2), outcomes, paths)
+        ]
+
+    def test_concurrent_records_take_unique_contiguous_sequences(self, benign_images):
+        """Dispatch threads record concurrently: no sequence is taken twice
+        or skipped, and no count is lost."""
         pipeline = calibrated_pipeline(benign_images)
-        first = pipeline.record_remote_outcome("accepted")
-        second = pipeline.record_remote_outcome("rejected")
-        assert second == first + 1
-        assert pipeline.stats.submitted == 2
-        assert pipeline.stats.accepted == 1
-        assert pipeline.stats.rejected == 1
+        (outcome,) = pipeline.screen([as_uint8(benign_images[0])], ["race"])
+        verdict = verdict_payload(outcome, request_id="race", latency_ms=0.0)
+        taken: list[int] = []
+
+        def worker() -> None:
+            for _ in range(200):
+                taken.extend(pipeline.record([verdict, verdict], [None, None]))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(taken) == list(range(1, 8 * 200 * 2 + 1))
+        assert pipeline.stats.submitted == pipeline.stats.accepted == 8 * 200 * 2
+
+    def test_malformed_verdict_is_refused_before_counting(self, benign_images):
+        pipeline = calibrated_pipeline(benign_images)
+        (outcome,) = pipeline.screen([as_uint8(benign_images[0])], ["bad"])
+        verdict = verdict_payload(outcome, request_id="bad", latency_ms=0.0)
+        for broken in (
+            {key: value for key, value in verdict.items() if key != "scores"},
+            {**verdict, "action": "submitted"},
+        ):
+            with pytest.raises(DetectionError, match="verdict"):
+                pipeline.record([verdict, broken], [None, None])
+        assert pipeline.stats.submitted == 0
+        assert list(pipeline.record([verdict], [None])) == [1]
 
 
 class TestPoolLifecycle:

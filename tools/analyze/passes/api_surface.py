@@ -75,6 +75,18 @@ DEPRECATED_NAMES: dict[str, dict] = {
         "label_runs + region_stats_from_runs",
         "allowed_owners": set(),
     },
+    # Sharded and in-process serving account through one step: the
+    # dispatcher passes every job's wire verdicts to record().
+    "record_remote_outcome": {
+        "hint": "pass the wire verdicts to ProtectedPipeline.record(verdicts, "
+        "quarantine_paths), which sequences, counts and audits",
+        "allowed_owners": set(),
+    },
+    "pop_quarantine_path": {
+        "hint": "screen() returns each PipelineOutcome with its quarantine_path; "
+        "shards use a plain AuditLog",
+        "allowed_owners": set(),
+    },
 }
 
 
