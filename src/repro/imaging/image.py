@@ -23,12 +23,14 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.errors import ImageError
+from repro.errors import CodecError, ImageError
 
 __all__ = [
     "MAX_PIXEL",
+    "MAX_PIXELS",
     "as_float",
     "as_uint8",
+    "check_declared_size",
     "clip_pixels",
     "ensure_image",
     "channel_count",
@@ -41,6 +43,23 @@ __all__ = [
 
 #: Highest representable 8-bit pixel intensity.
 MAX_PIXEL = 255.0
+
+#: Largest pixel count (H * W) the codecs decode: 8192 x 8192. A fixed
+#: cap, checked against the declared header size before any inflate or
+#: allocation, bounds the work one hostile header can ask for.
+MAX_PIXELS = 1 << 26
+
+
+def check_declared_size(height: int, width: int, *, origin: str) -> None:
+    """Refuse a codec header declaring an empty image or more than
+    :data:`MAX_PIXELS` pixels, with :class:`~repro.errors.CodecError`."""
+    if height <= 0 or width <= 0:
+        raise CodecError(f"{origin}: declared size {width}x{height} is empty")
+    if height * width > MAX_PIXELS:
+        raise CodecError(
+            f"{origin}: declared size {width}x{height} exceeds the "
+            f"{MAX_PIXELS}-pixel cap"
+        )
 
 
 def ensure_image(array: np.ndarray, *, name: str = "image") -> np.ndarray:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import CodecError
-from repro.imaging.image import as_uint8, channel_count, ensure_image
+from repro.imaging.image import as_uint8, channel_count, check_declared_size, ensure_image
 
 __all__ = ["decode_netpbm", "encode_netpbm", "read_ppm", "write_ppm"]
 
@@ -76,6 +76,7 @@ def decode_netpbm(data: bytes, *, origin: str = "<bytes>") -> np.ndarray:
     offset += 2  # account for the magic bytes we sliced off
     if maxval != 255:
         raise CodecError(f"{path}: only maxval 255 supported, got {maxval}")
+    check_declared_size(height, width, origin=path)
     n_values = width * height * channels
     if magic in (b"P5", b"P6"):
         payload = data[offset : offset + n_values]
@@ -86,7 +87,13 @@ def decode_netpbm(data: bytes, *, origin: str = "<bytes>") -> np.ndarray:
         values = data[offset:].split()
         if len(values) < n_values:
             raise CodecError(f"{path}: truncated ASCII pixel data")
-        flat = np.array([int(v) for v in values[:n_values]], dtype=np.uint8)
+        try:
+            samples = np.array([int(v) for v in values[:n_values]], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise CodecError(f"{path}: bad ASCII sample: {exc}") from exc
+        if samples.min() < 0 or samples.max() > maxval:
+            raise CodecError(f"{path}: ASCII sample outside 0..{maxval}")
+        flat = samples.astype(np.uint8)
     if channels == 1:
         return flat.reshape(height, width)
     return flat.reshape(height, width, 3)

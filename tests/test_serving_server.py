@@ -18,6 +18,7 @@ import os
 import re
 import socket
 import threading
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from repro.serving import (
     ServerConfig,
 )
 from repro.serving.wire import (
+    IMAGE_CONTENT_TYPE,
     decode_image_payload,
     encode_image_payload,
     pack_batch,
@@ -42,6 +44,7 @@ from repro.serving.wire import (
 )
 
 from tests.conftest import MODEL_INPUT, SERVER_WORKERS, wait_until
+from tests.png_oracle import png_bytes
 
 
 def _make_pipeline(benign_images, **kwargs) -> ProtectedPipeline:
@@ -157,6 +160,42 @@ class TestEndToEnd:
         _, client, _ = served
         status, _, _ = client._request("GET", "/nope")
         assert status == 404
+
+
+def _malformed_bodies() -> dict[str, bytes]:
+    """Hostile bodies that used to escape the codecs as non-codec errors,
+    or to cost unbounded memory, one per way in."""
+    compressor = zlib.compressobj(9)
+    bomb = b"".join(compressor.compress(bytes(1 << 20)) for _ in range(16))
+    indices = zlib.compress(bytes([0, 0, 1, 0, 2]))  # one filter-0 row of 4
+    return {
+        "png-decompression-bomb": png_bytes(16, 16, 2, bomb + compressor.flush()),
+        "png-oversize-header": png_bytes(100_000, 100_000, 2, zlib.compress(bytes(64))),
+        "png-zero-width": png_bytes(0, 4, 2, zlib.compress(b"")),
+        "png-short-ihdr": png_bytes(4, 4, 2, zlib.compress(b""), ihdr=bytes(5)),
+        "png-index-past-palette": png_bytes(4, 1, 3, indices, plte=bytes(3 * 2)),
+        "ppm-oversize-header": b"P6\n100000 100000\n255\n" + bytes(64),
+        "pgm-zero-height": b"P5\n4 0\n255\n",
+        "p2-sample-over-255": b"P2\n2 1\n255\n0 300\n",
+        "p3-negative-sample": b"P3\n1 1\n255\n0 -1 0\n",
+    }
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize("case", sorted(_malformed_bodies()))
+    def test_malformed_body_is_400(self, served, case):
+        """Every malformed payload is a client error at every worker
+        count: a codec exception in the dispatcher or on a shard maps to
+        400, never 500 (unmapped in-process) or 503 (unmapped shard)."""
+        _, client, _ = served
+        status, _, body = client._request(
+            "POST",
+            "/v1/detect",
+            body=_malformed_bodies()[case],
+            headers={"Content-Type": IMAGE_CONTENT_TYPE},
+        )
+        assert status == 400, body
+        assert client.health()[0] == 200
 
 
 class TestAuditParityAcrossWorkerCounts:
