@@ -7,15 +7,15 @@ Subcommands:
   hold-out by default, or on ``--holdout DIR`` of known-benign images).
 * ``craft`` — craft an attack image from an original and a target (for
   red-team testing and demos).
+* ``analyze`` — rate a scaling configuration's attack surface.
+* ``serve`` — run the HTTP detection service (see ``docs/serving.md``).
+  Its speed is measured from outside by ``benchmarks/perf`` (see that
+  directory's ``README.md``).
 * ``report`` — run the experiment suite and print every table/figure.
 * ``exp`` — registry-driven orchestration: ``exp list`` prints every
   registered experiment; ``exp run T2 T8 --jobs 4 --cache-dir .cache``
   runs any subset through the :class:`~repro.eval.mediator
   .ExperimentMediator` with content-addressed caching and resume.
-* ``loadlab`` — scenario-driven load lab: ``loadlab list`` prints the
-  built-in scenarios; ``loadlab run ramp --out results/`` executes one
-  end to end (self-launched server, resource telemetry, bootstrap CIs).
-  See ``docs/loadlab.md``.
 
 Exit status for ``scan``: 0 = clean, 1 = at least one attack flagged,
 2 = usage/IO error. Every command exits 2 with a one-line ``error:``
@@ -139,31 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "shards respawn automatically on crash")
     serve.add_argument("--verbose", action="store_true",
                        help="log one line per request")
-
-    loadlab = sub.add_parser(
-        "loadlab", help="scenario-driven load lab (see docs/loadlab.md)"
-    )
-    loadlab_sub = loadlab.add_subparsers(dest="loadlab_command", required=True)
-    loadlab_sub.add_parser("list", help="print every built-in scenario")
-    ll_run = loadlab_sub.add_parser(
-        "run", help="execute one scenario end to end against a live server"
-    )
-    ll_run.add_argument("scenario",
-                        help="built-in scenario name (see loadlab list) or a "
-                             "path to a scenario JSON spec")
-    ll_run.add_argument("--out", type=Path, default=None,
-                        help="directory for the result JSON "
-                             "(default: print the summary table only)")
-    ll_run.add_argument("--duration-scale", type=float, default=1.0,
-                        help="multiply every level duration (CI smoke uses < 1)")
-    ll_run.add_argument("--seed", type=int, default=None,
-                        help="override the scenario's seed")
-    ll_run.add_argument("--host", default=None,
-                        help="attach to an external server (launch=external only)")
-    ll_run.add_argument("--port", type=int, default=None,
-                        help="attach to an external server (launch=external only)")
-    ll_run.add_argument("--json", action="store_true",
-                        help="print the full result JSON instead of the table")
 
     report = sub.add_parser("report", help="run the paper-reproduction experiment suite")
     report.add_argument("--images", type=int, default=60,
@@ -379,45 +354,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_loadlab(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.loadlab import (
-        builtin_scenarios,
-        get_scenario,
-        load_scenario,
-        render_table,
-        run_scenario,
-    )
-
-    if args.loadlab_command == "list":
-        for name, scenario in sorted(builtin_scenarios().items()):
-            print(f"{name:18s} {scenario.fingerprint()}  {scenario.description}")
-        return 0
-
-    spec_path = Path(args.scenario)
-    if spec_path.suffix == ".json" or spec_path.exists():
-        scenario = load_scenario(spec_path)
-    else:
-        scenario = get_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
-    result = run_scenario(
-        scenario,
-        host=args.host,
-        port=args.port,
-        out_dir=args.out,
-        duration_scale=args.duration_scale,
-    )
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        print(render_table(result), end="")
-        if "written_to" in result:
-            print(f"result written to {result['written_to']}")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.eval.report import render_report, run_all_experiments
 
@@ -504,8 +440,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_analyze(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "loadlab":
-            return _cmd_loadlab(args)
         if args.command == "figures":
             return _cmd_figures(args)
         if args.command == "exp":

@@ -45,8 +45,3 @@ class EvalError(ReproError):
 class ServingError(ReproError):
     """The detection service could not satisfy a request (client side:
     transport failures, retries exhausted, non-success responses)."""
-
-
-class LoadLabError(ReproError):
-    """The load lab was asked for something it cannot do (unknown
-    scenario, malformed spec, unusable results payload)."""

@@ -1,71 +1,7 @@
-"""Scenario-driven load lab for the detection service.
+"""Helpers for measuring a running detection service from outside it.
 
-One-off ``bench_serving_*.py`` scripts answer "how fast was it that one
-time"; this package answers "how does the service behave under a *named,
-frozen, reproducible* traffic shape" — including the adversarial shapes
-(garbage frames, slow-loris connections, attack-image floods) a deployed
-scaling-attack screen actually faces. Four moving parts:
-
-* **Scenarios** (:mod:`repro.loadlab.scenario`) — frozen dataclass specs
-  composing a load profile (constant/ramp/geometric/spike/diurnal) × an arrival
-  model (closed-loop clients or open-loop Poisson) × a workload mix
-  (benign, attack, garbage, slow-loris, batch), JSON-serializable with a
-  content fingerprint like :class:`repro.eval.data.DataConfig`.
-* **Schedules** (:mod:`repro.loadlab.schedule`) — the deterministic,
-  seed-reproducible offered-load plan compiled from a scenario.
-* **The engine** (:mod:`repro.loadlab.engine`) — drives a
-  :class:`~repro.serving.client.DetectionClient` (and raw sockets for the
-  adversarial steps) through the schedule while a **resource sampler**
-  (:mod:`repro.loadlab.sampler`) reads ``/proc/<pid>/{stat,status,fd}``
-  for the dispatcher and every worker shard.
-* **The results pipeline** (:mod:`repro.loadlab.results`) — merges
-  client-side records, ``/metrics`` scrape deltas, and resource series
-  into schema-versioned per-run JSON with bootstrap confidence intervals.
-
-``repro loadlab run <scenario>`` (or :func:`repro.loadlab.runner
-.run_scenario`) executes the whole thing end to end against a
-self-launched server. See ``docs/loadlab.md``.
+The service's load benchmark is ``benchmarks/perf`` (see its
+``README.md``); it reads the server's own counters through
+:mod:`repro.loadlab.results`, which parses ``/metrics`` scrapes and
+subtracts one from another.
 """
-
-from repro.loadlab.engine import LoadEngine, RequestRecord
-from repro.loadlab.results import (
-    RESULTS_SCHEMA_VERSION,
-    build_result,
-    render_table,
-    validate_result,
-)
-from repro.loadlab.runner import run_scenario
-from repro.loadlab.sampler import ResourceSample, ResourceSampler
-from repro.loadlab.scenario import (
-    ArrivalModel,
-    LoadProfile,
-    Scenario,
-    ServerSpec,
-    WorkloadMix,
-    load_scenario,
-)
-from repro.loadlab.scenarios import builtin_scenarios, get_scenario
-from repro.loadlab.schedule import LevelSchedule, compile_schedule, schedule_digest
-
-__all__ = [
-    "ArrivalModel",
-    "LevelSchedule",
-    "LoadEngine",
-    "LoadProfile",
-    "RequestRecord",
-    "RESULTS_SCHEMA_VERSION",
-    "ResourceSample",
-    "ResourceSampler",
-    "Scenario",
-    "ServerSpec",
-    "WorkloadMix",
-    "build_result",
-    "builtin_scenarios",
-    "compile_schedule",
-    "get_scenario",
-    "load_scenario",
-    "render_table",
-    "run_scenario",
-    "schedule_digest",
-    "validate_result",
-]

@@ -56,6 +56,9 @@ _SERVER_HEADER = "decamouflage Python/" + sys.version.split()[0]
 _MAX_HEAD_BYTES = 64 * 1024
 #: Stop reading a connection whose buffer outruns its current request.
 _MAX_BUFFER_SLACK = 1024 * 1024
+#: An idle keep-alive older than this is closed, and a drain waits at most
+#: this long for a response it cannot write, seconds.
+_SOCKET_TIMEOUT_S = 10.0
 #: Paths whose dispatch is bounded by the admission queue's capacity.
 _DETECT_PATHS = ("/v1/detect", "/v1/detect/batch")
 
@@ -185,13 +188,13 @@ class EventLoopFrontend:
     def stop(self) -> None:
         """Drain: stop accepting, finish in-flight requests, close all.
 
-        Bounded by ``socket_timeout_s``: a response the loop cannot write
+        Bounded by ``_SOCKET_TIMEOUT_S``: a response the loop cannot write
         within the deadline (wedged client) is abandoned, everything else
         completes. Idempotent."""
         self._stopping.set()
         self._wake()
         if self._running.is_set():
-            self._stopped.wait(self._server.config.socket_timeout_s + 5.0)
+            self._stopped.wait(_SOCKET_TIMEOUT_S + 5.0)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         self._executor.shutdown(wait=True, cancel_futures=True)
@@ -225,9 +228,7 @@ class EventLoopFrontend:
         try:
             while True:
                 if self._stopping.is_set() and drain_deadline is None:
-                    drain_deadline = (
-                        time.monotonic() + self._server.config.socket_timeout_s
-                    )
+                    drain_deadline = time.monotonic() + _SOCKET_TIMEOUT_S
                     self._begin_drain(selector)
                 for key, _mask in selector.select(0.05):
                     if key.data == "accept":
@@ -575,12 +576,12 @@ class EventLoopFrontend:
         those — and so are mid-request trickles (each byte refreshes
         ``last_activity``): holding a slow client costs a buffer, not a
         thread, which is the point of this front end."""
-        timeout = self._server.config.socket_timeout_s
         now = time.monotonic()
         for conn in list(self._connections.values()):
             if not conn.open or conn.state == "busy" or conn.outbuf:
                 continue
-            if drain_deadline is not None or now - conn.last_activity > timeout:
+            idle_s = now - conn.last_activity
+            if drain_deadline is not None or idle_s > _SOCKET_TIMEOUT_S:
                 self._close(selector, conn)
 
     def _close(self, selector, conn: _Connection) -> None:

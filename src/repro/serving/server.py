@@ -82,18 +82,15 @@ class ServerConfig:
     retry_after_s: float = 1.0
     #: Largest accepted request body; beyond it answers 413.
     max_body_bytes: int = 64 * 1024 * 1024
-    #: Socket timeout per connection, seconds (kills idle keep-alives so a
-    #: drain cannot hang on a silent client).
-    socket_timeout_s: float = 10.0
     #: Print one log line per request to stderr.
     verbose: bool = False
     #: Scoring shard processes (:mod:`repro.serving.workers`); 0 runs the
     #: detect job in the dispatcher.
     workers: int = 0
-    #: Shard lifecycle knobs, forwarded to :class:`WorkerPoolConfig`.
+    #: Shard lifecycle knobs, forwarded to :class:`WorkerPoolConfig`. The
+    #: wedged-job timeout stays at that class's ``job_timeout_s`` (30 s).
     worker_heartbeat_interval_s: float = 0.25
     worker_liveness_timeout_s: float = 10.0
-    worker_job_timeout_s: float = 30.0
     worker_restart_backoff_base_s: float = 0.1
     worker_restart_backoff_max_s: float = 5.0
 
@@ -435,8 +432,8 @@ class DetectionServer:
             "calibrated": calibrated,
             "draining": self.draining,
             "queue_saturated": saturated,
-            # The dispatcher's own pid, so external tooling (the load lab's
-            # resource sampler) can watch /proc/<pid> without guessing.
+            # The dispatcher's own pid, so external tooling can watch
+            # /proc/<pid> without guessing.
             "pid": os.getpid(),
         }
         pool = self._pool
@@ -526,7 +523,6 @@ class DetectionServer:
             workers=self.config.workers,
             heartbeat_interval_s=self.config.worker_heartbeat_interval_s,
             liveness_timeout_s=self.config.worker_liveness_timeout_s,
-            job_timeout_s=self.config.worker_job_timeout_s,
             restart_backoff_base_s=self.config.worker_restart_backoff_base_s,
             restart_backoff_max_s=self.config.worker_restart_backoff_max_s,
         )

@@ -13,6 +13,7 @@ sharded scoring path.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -31,6 +32,7 @@ from repro.serving import (
     AuditLog,
     DetectionClient,
     DetectionServer,
+    DetectionVerdict,
     Policy,
     ProtectedPipeline,
     ServerConfig,
@@ -257,8 +259,8 @@ class TestHealth:
         _, client, _ = served
         status, payload = client.health()
         assert status == 200
-        # The dispatcher advertises its own pid (the load lab's resource
-        # sampler discovers what to watch from this payload).
+        # The dispatcher advertises its own pid (external tooling
+        # discovers what to watch from this payload).
         assert payload.pop("pid") == os.getpid()
         if SERVER_WORKERS:
             workers = payload.pop("workers")
@@ -489,6 +491,70 @@ class TestGracefulDrain:
         with pytest.raises(ServingError):
             with DetectionClient(host, port, max_retries=1, backoff_base_s=0.01) as c:
                 c.detect(np.asarray(benign_images[0]))
+
+
+def test_512_keepalive_connections_all_answered(benign_images, attack_images):
+    """512 keep-alive connections open at once each get two verdicts, and
+    none is lost: the admission queue (``max_active + queue_depth``) holds
+    every request, each connection is reused for its second request, and
+    every verdict equals an in-process ``submit()`` of the same pixels."""
+    n_connections = 512
+    pipeline = _make_pipeline(benign_images)
+    images = [as_uint8(image) for image in (*benign_images[:2], *attack_images[:2])]
+    expected = [pipeline.submit(image).detection.is_attack for image in images]
+    assert set(expected) == {False, True}
+    requests = [
+        _request_bytes(
+            "POST",
+            "/v1/detect",
+            [("Host", "keepalive.test"), _OCTET, ("Content-Length", str(len(body)))],
+            body,
+        )
+        for body in map(encode_image_payload, images)
+    ]
+    server = DetectionServer(
+        pipeline, _server_config(max_active=8, queue_depth=1024, deadline_ms=60_000)
+    )
+    server.start()
+    socks: list[socket.socket] = []
+    try:
+        with DetectionClient(*server.address) as client:
+            client.wait_ready(timeout_s=120.0 if SERVER_WORKERS else 10.0)
+        answered_before = pipeline.metrics.counter("server.responses.200").value
+        socks = [
+            socket.create_connection(server.address, timeout=120.0)
+            for _ in range(n_connections)
+        ]
+        for _round in range(2):
+            for index, sock in enumerate(socks):
+                sock.sendall(requests[index % len(requests)])
+            for index, sock in enumerate(socks):
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                body = response.read()
+                assert response.status == 200, (index, response.status, body[:200])
+                verdict = DetectionVerdict.from_payload(json.loads(body))
+                assert verdict.is_attack == expected[index % len(requests)], index
+        for sock in socks:
+            sock.close()
+        open_gauge = pipeline.metrics.gauge("eventloop.open_connections")
+        wait_until(
+            lambda: open_gauge.value == 0,
+            timeout_s=30.0,
+            message="every closed connection to leave the event loop",
+        )
+        responses = pipeline.metrics.counter_values("server.responses.")
+    finally:
+        for sock in socks:
+            sock.close()
+        server.shutdown()
+    answered = responses["server.responses.200"] - answered_before
+    assert answered == 2 * n_connections
+    assert not {
+        name: count
+        for name, count in responses.items()
+        if name.startswith("server.responses.5") and count
+    }
 
 
 # -- golden response grid -----------------------------------------------------
