@@ -11,6 +11,10 @@ reconstruction of the pre-plan implementation:
 * sliding-window materialization for the minimum filter, and
 * the sliding-window-matmul SSIM.
 
+A third row, (c), times the filtering detector's SSIM alone: the reference
+``ssim`` against the tiled banded-GEMM ``ssim_fast`` the plan path uses,
+on the image and its minimum-filtered copy.
+
 The reconstruction lives here (not in ``src/``) so the comparison stays
 honest after the legacy implementations are gone: this file *is* the
 reference for what the code used to do per image. Scores are
@@ -50,7 +54,7 @@ from repro.datasets.synthetic import generate_image
 from repro.imaging.coefficients import scaling_operators
 from repro.imaging.color import to_grayscale
 from repro.imaging.image import as_float, ensure_image
-from repro.imaging.metrics import mse, ssim
+from repro.imaging.metrics import mse, ssim, ssim_fast
 from repro.imaging.plans import csp_count_fast, get_scoring_plan, get_spectrum_geometry
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_scoring_plans.txt"
@@ -248,12 +252,18 @@ def run_plan_speedup(
                     f"plan/legacy score divergence beyond tolerance: "
                     f"{plan_scores} vs {legacy_scores}"
                 )
+        filtered = _legacy_minimum_filter(image, 2)
+        reference, fast = ssim(image, filtered), ssim_fast(image, filtered)
+        if abs(fast - reference) > REL_TOL * max(abs(reference), 1.0):
+            raise AssertionError(f"ssim_fast/ssim divergence: {fast} vs {reference}")
         rows.append(
             {
                 "stegan_legacy": _best_of(_legacy_csp_count, image, repeats=repeats),
                 "stegan_plan": _best_of(
                     lambda img: csp_count_fast(to_grayscale(img)), image, repeats=repeats
                 ),
+                "ssim_legacy": _best_of(ssim, image, filtered, repeats=repeats),
+                "ssim_plan": _best_of(ssim_fast, image, filtered, repeats=repeats),
                 "ensemble_legacy": _best_of(
                     _legacy_ensemble_scores, image, repeats=repeats
                 ),
@@ -275,11 +285,14 @@ def run_plan_speedup(
         f"host cpu_count={os.cpu_count()}",
         "(legacy = pre-plan path reconstructed above: per-channel loop round trip,",
         " full fft2 + per-call geometry + BFS labeling, windowed min filter,",
-        " sliding-window SSIM; scores cross-checked to the plan tolerance)",
+        " sliding-window SSIM; scores cross-checked to the plan tolerance;",
+        " ssim row: reference ssim vs ssim_fast on the image and its filtered copy)",
         "",
         f"{'path':<28} {'legacy p50':>12} {'plan p50':>12} {'speedup':>9}",
         f"{'steganalysis single-image':<28} {p50('stegan_legacy'):>9.3f} ms "
         f"{p50('stegan_plan'):>9.3f} ms {stegan_speedup:>8.1f}x",
+        f"{'ssim single-image':<28} {p50('ssim_legacy'):>9.3f} ms "
+        f"{p50('ssim_plan'):>9.3f} ms {p50('ssim_legacy') / p50('ssim_plan'):>8.1f}x",
         f"{'ensemble single-image':<28} {p50('ensemble_legacy'):>9.3f} ms "
         f"{p50('ensemble_plan'):>9.3f} ms {ensemble_speedup:>8.1f}x",
         "",

@@ -26,8 +26,8 @@ counters so a serving dashboard can show the shared-work savings.
 
 Numerics contract: scoring runs through the precompiled
 :mod:`repro.imaging.plans` — round trips may use the fused banded
-operators, SSIM uses the C separable filter, and the CSP count comes
-from a real FFT. Each is parity-tested against its reference
+operators, SSIM filters through a tiled banded GEMM, and the CSP count
+comes from a real FFT. Each is parity-tested against its reference
 (:meth:`~repro.imaging.plans.ScoringPlan.round_trip_exact`,
 :func:`~repro.imaging.metrics.ssim`,
 :func:`~repro.imaging.fourier.csp_count_from_spectrum`) at ≤1e-9

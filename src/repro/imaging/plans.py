@@ -36,8 +36,9 @@ references kept beside it — :meth:`ScoringPlan.round_trip_exact`,
 :func:`repro.imaging.fourier.csp_count_from_spectrum` — at ≤1e-9
 relative on MSE/SSIM, with CSP counts exactly equal on the test corpus.
 The differences come only from summation order (banded contraction,
-``rfft2`` magnitudes); they are zero whenever the cost model selects the
-exact strategy.
+``rfft2`` magnitudes, the tiled banded GEMM of
+:func:`~repro.imaging.metrics.ssim_fast`); round-trip differences are zero
+whenever the cost model selects the exact strategy.
 """
 
 from __future__ import annotations
