@@ -6,6 +6,9 @@ claims are the ordering (CSP fastest, SSIM slowest) and millisecond scale.
 
 Unlike the other benches, this one uses pytest-benchmark's statistics for
 real: each detector's single-image decision is measured over many rounds.
+The paper reports cost per image, and every entry point scores one image
+at a time, so there is no separate batch path to time: a pipeline batch
+costs the sum of its images.
 """
 
 import time
@@ -16,7 +19,7 @@ from repro.core.filtering_detector import FilteringDetector
 from repro.core.result import Direction, ThresholdRule
 from repro.core.scaling_detector import ScalingDetector
 from repro.core.steganalysis_detector import SteganalysisDetector
-from repro.eval.runtime import table7_batch_throughput, table7_runtime
+from repro.eval.runtime import table7_runtime
 from repro.imaging.scaling import clear_operator_cache, resize
 from repro.serving.pipeline import ProtectedPipeline
 
@@ -45,44 +48,11 @@ def test_per_image_decision_latency(benchmark, data, name):
     benchmark(detector.detect, image)
 
 
-def _batch_pool(data, side=128, count=64, grayscale=False):
+def _batch_pool(data, side=128, count=64):
     """A mixed benign/attack pool of float64 images at ``side``²."""
     half = count // 2
     sources = data.evaluation.benign[:half] + data.evaluation.attacks[:half]
-    pool = [resize(image, (side, side), data.algorithm) for image in sources]
-    if grayscale:
-        pool = [image.mean(axis=2) for image in pool]
-    return pool
-
-
-def test_batch_vs_serial_throughput(run_once, data, save_result):
-    """Acceptance: the batch paths never regress against per-image scoring
-    (full batch-vs-serial table saved for the record).
-
-    Since the shared-analysis refactor the per-image path already reuses
-    the cached operators and one context per image, so scaling/steganalysis
-    batches land near 1x; the filtering detector keeps a genuinely fused
-    (stacked sliding-window) batch kernel. The acceptance bound is
-    no-regression with measurement headroom, not a fixed speedup.
-    """
-    pool = _batch_pool(data, side=32, grayscale=True)
-    model_input = (16, 16)
-    # Warm the process-wide operator cache so the measurement reflects the
-    # steady state of a long-running service, not first-call matrix builds.
-    clear_operator_cache()
-    warm = ScalingDetector(model_input, algorithm=data.algorithm, metric="mse", threshold=_GREATER)
-    warm.detect_batch(pool)
-
-    result = run_once(
-        table7_batch_throughput,
-        pool,
-        model_input_shape=model_input,
-        algorithm=data.algorithm,
-        repeats=5,
-    )
-    save_result(result)
-    speedups = {(r["Method"], r["Metric"]): float(r["Speedup"]) for r in result.rows}
-    assert all(speedup >= 0.7 for speedup in speedups.values()), speedups
+    return [resize(image, (side, side), data.algorithm) for image in sources]
 
 
 def test_ensemble_shared_context_vs_legacy(data, save_result, capsys):
@@ -150,7 +120,8 @@ def test_ensemble_shared_context_vs_legacy(data, save_result, capsys):
 
 def test_pipeline_batch_throughput(data, capsys):
     """submit_batch vs per-image submit on the full pipeline (report only:
-    the loop-fallback ensemble members dilute the scaling speedup)."""
+    both score each image on its own, so the ratio shows the per-call
+    overhead that batching saves and nothing else)."""
     pool = _batch_pool(data)
     holdout = pool[: len(pool) // 2]
 

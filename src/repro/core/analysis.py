@@ -202,17 +202,6 @@ class ImageAnalysis:
         self._memo[key] = value
         return value
 
-    def peek(self, key: tuple) -> object | None:
-        """The memoized value for *key*, or None — never computes."""
-        return self._memo.get(key)
-
-    def put(self, key: tuple, value: object) -> None:
-        """Seed the memo with an externally computed value (counted as a
-        miss — the work happened, just outside the context). Used by fused
-        batch paths that compute one intermediate for many contexts."""
-        self._tally(key[0], hit=False)
-        self._memo[key] = value
-
     def forget_arrays(self) -> None:
         """Drop image-sized memo entries, keeping scalars and the float view.
 

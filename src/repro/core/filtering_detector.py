@@ -11,15 +11,13 @@ Score = MSE(I, F) (attack high) or SSIM(I, F) (attack low), ``F = filter(I)``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.core.analysis import ImageAnalysis
 from repro.core.detector import Detector
 from repro.core.result import Direction, ThresholdRule
 from repro.errors import DetectionError
-from repro.imaging.filtering import FILTERS, filter_batch
+from repro.imaging.filtering import FILTERS
 
 __all__ = ["FilteringDetector"]
 
@@ -28,11 +26,6 @@ class FilteringDetector(Detector):
     """Window-filter residual detector (minimum filter by default)."""
 
     method = "filtering"
-
-    #: Same-shaped images per stacked filtering pass. The window view is
-    #: zero-copy but the median reducer materializes the windows, so the
-    #: chunk bounds peak memory at ~size² × chunk images.
-    _FUSED_CHUNK = 16
 
     def __init__(
         self,
@@ -65,34 +58,3 @@ class FilteringDetector(Detector):
         if self.metric == "mse":
             return analysis.mse_against(key)
         return analysis.ssim_against(key)
-
-    def score_batch(
-        self, images: Sequence[np.ndarray | ImageAnalysis]
-    ) -> list[float]:
-        """Fused batch scoring: same-shaped images are filtered in one
-        stacked window reduce instead of one pass per image.
-
-        Scores are **bit-identical** to per-image :meth:`score`:
-        :func:`~repro.imaging.filtering.filter_batch` guarantees each
-        slice of the stacked result equals the per-image filter output,
-        and the residual metric then runs unchanged per image. Contexts
-        that already memoized their filtered image are left alone, so
-        mixing prepared and raw inputs stays exact (and cheap).
-        """
-        analyses = [self.as_analysis(image, self.metrics) for image in images]
-        key = ImageAnalysis.filtered_key(self.filter_name, self.filter_size)
-        if self.filter_size > 1:
-            pending: dict[tuple[int, ...], list[ImageAnalysis]] = {}
-            for analysis in analyses:
-                if analysis.peek(key) is None:
-                    pending.setdefault(analysis.image.shape, []).append(analysis)
-            for group in pending.values():
-                for start in range(0, len(group), self._FUSED_CHUNK):
-                    chunk = group[start : start + self._FUSED_CHUNK]
-                    if len(chunk) == 1:
-                        continue  # no stacking win; score_from computes it
-                    stack = np.stack([a.float_image for a in chunk])
-                    batch = filter_batch(stack, self.filter_name, self.filter_size)
-                    for index, analysis in enumerate(chunk):
-                        analysis.put(key, batch[index])
-        return [self.score_from(analysis) for analysis in analyses]

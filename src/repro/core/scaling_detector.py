@@ -11,15 +11,12 @@ where ``S = up(down(I))``.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.core.analysis import ImageAnalysis
 from repro.core.detector import Detector
 from repro.core.result import Direction, ThresholdRule
 from repro.errors import DetectionError
-from repro.imaging.plans import get_scoring_plan
 from repro.imaging.scaling import downscale_then_upscale
 
 __all__ = ["ScalingDetector"]
@@ -71,10 +68,6 @@ class ScalingDetector(Detector):
             self.upscale_algorithm,
         )
 
-    #: Same-shaped images per stacked round-trip pass; bounds the peak
-    #: footprint of the batched matmuls at ~chunk × image-size floats.
-    _FUSED_CHUNK = 16
-
     def score_from(self, analysis: ImageAnalysis) -> float:
         key = ImageAnalysis.round_trip_key(
             self.model_input_shape, self.algorithm, self.upscale_algorithm
@@ -82,38 +75,3 @@ class ScalingDetector(Detector):
         if self.metric == "mse":
             return analysis.mse_against(key)
         return analysis.ssim_against(key)
-
-    def score_batch(
-        self, images: Sequence[np.ndarray | ImageAnalysis]
-    ) -> list[float]:
-        """Fused batch scoring: same-shaped images round-trip in one
-        stacked operator application instead of one pass per image.
-
-        Each slice of :meth:`repro.imaging.plans.ScoringPlan.round_trip_batch`
-        equals the per-image application (the batch runs the same GEMM or
-        banded contraction per 2-D slice), so scores equal per-image
-        :meth:`score`. Contexts that already memoized their round trip are
-        left alone.
-        """
-        analyses = [self.as_analysis(image, self.metrics) for image in images]
-        key = ImageAnalysis.round_trip_key(
-            self.model_input_shape, self.algorithm, self.upscale_algorithm
-        )
-        pending: dict[tuple, list[ImageAnalysis]] = {}
-        for analysis in analyses:
-            if analysis.peek(key) is None:
-                pending.setdefault(analysis.image.shape, []).append(analysis)
-        for shape, group in pending.items():
-            plan = get_scoring_plan(
-                shape[:2], self.model_input_shape, self.algorithm,
-                self.upscale_algorithm,
-            )
-            for start in range(0, len(group), self._FUSED_CHUNK):
-                chunk = group[start : start + self._FUSED_CHUNK]
-                if len(chunk) == 1:
-                    continue  # no stacking win; score_from computes it
-                stack = np.stack([a.float_image for a in chunk])
-                batch = plan.round_trip_batch(stack)
-                for index, analysis in enumerate(chunk):
-                    analysis.put(key, batch[index])
-        return [self.score_from(analysis) for analysis in analyses]

@@ -13,14 +13,9 @@ original and attack images"), which is why the detector is born calibrated.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-import numpy as np
-
 from repro.core.analysis import ImageAnalysis
 from repro.core.detector import Detector
 from repro.core.result import Direction, ThresholdRule
-from repro.imaging.plans import csp_count_fast, spectrum_magnitude_halves
 
 __all__ = ["SteganalysisDetector", "DEFAULT_CSP_THRESHOLD"]
 
@@ -78,37 +73,3 @@ class SteganalysisDetector(Detector):
 
     def score_from(self, analysis: ImageAnalysis) -> float:
         return float(analysis.csp_count(**self._csp_params()))
-
-    def score_batch(
-        self, images: Sequence[np.ndarray | ImageAnalysis]
-    ) -> list[float]:
-        """Fused batch scoring: one stacked real FFT per same-shape group.
-
-        Contexts that have not yet memoized their CSP count get their
-        half-spectrum magnitudes from one batched ``rfft2`` and are
-        counted from those — the same values :func:`csp_count_fast`
-        derives image by image, so the scores equal per-image
-        :meth:`score`.
-        """
-        analyses = [self.as_analysis(image, self.metrics) for image in images]
-        key = ImageAnalysis.csp_key(**self._csp_params())
-        pending: dict[tuple[int, int], list[ImageAnalysis]] = {}
-        for analysis in analyses:
-            if analysis.peek(key) is None:
-                pending.setdefault(analysis.image.shape[:2], []).append(analysis)
-        for shape, group in pending.items():
-            if len(group) == 1:
-                continue  # no stacking win; score_from computes it
-            halves = spectrum_magnitude_halves(
-                np.stack([analysis.gray() for analysis in group])
-            )
-            for index, analysis in enumerate(group):
-                analysis.put(
-                    key,
-                    csp_count_fast(
-                        magnitude_half=halves[index],
-                        shape=shape,
-                        **self._csp_params(),
-                    ),
-                )
-        return [self.score_from(analysis) for analysis in analyses]

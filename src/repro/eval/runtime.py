@@ -28,10 +28,8 @@ from repro.eval.tables import format_number
 __all__ = [
     "PAPER_RUNTIMES",
     "time_detector",
-    "time_detector_batch",
     "table7_runtime",
     "table7_from_data",
-    "table7_batch_throughput",
 ]
 
 #: Paper Table 7 (milliseconds on an Intel i5-7500).
@@ -59,82 +57,6 @@ def time_detector(
             timings.append((time.perf_counter() - start) * 1000.0)
     array = np.asarray(timings)
     return float(array.mean()), float(array.std())
-
-
-def time_detector_batch(
-    detector: Detector,
-    images: Sequence[np.ndarray],
-    *,
-    repeats: int = 1,
-) -> float:
-    """Per-image latency of the batch path: best-of-*repeats* total wall
-    time for one ``detect_batch`` over the whole pool, divided by the pool
-    size. Min-of-repeats timing resists scheduler noise."""
-    images = list(images)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        detector.detect_batch(images)
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0 / len(images)
-
-
-def table7_batch_throughput(
-    images: Sequence[np.ndarray],
-    *,
-    model_input_shape: tuple[int, int] = (32, 32),
-    algorithm: str = "bilinear",
-    repeats: int = 3,
-) -> ExperimentResult:
-    """Batch vs serial decision throughput per detector configuration.
-
-    Companion to :func:`table7_runtime` (no paper counterpart): for each
-    detector the serial column times per-image ``detect`` calls, the batch
-    column times one ``detect_batch`` over the same pool. Both use
-    min-of-*repeats* wall time. The scaling detector's fused batch path is
-    where the speedup concentrates; loop-fallback detectors stay near 1x.
-    """
-    images = list(images)
-    placeholder = ThresholdRule(value=0.0, direction=Direction.GREATER)
-    ssim_placeholder = ThresholdRule(value=0.0, direction=Direction.LESS)
-    detectors = [
-        ("Scaling", "MSE", ScalingDetector(model_input_shape, algorithm=algorithm, metric="mse", threshold=placeholder)),
-        ("Scaling", "SSIM", ScalingDetector(model_input_shape, algorithm=algorithm, metric="ssim", threshold=ssim_placeholder)),
-        ("Filtering", "MSE", FilteringDetector(metric="mse", threshold=placeholder)),
-        ("Filtering", "SSIM", FilteringDetector(metric="ssim", threshold=ssim_placeholder)),
-        ("Steganalysis", "CSP", SteganalysisDetector()),
-    ]
-    rows = []
-    for method, metric, detector in detectors:
-        serial_best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for image in images:
-                detector.detect(image)
-            serial_best = min(serial_best, time.perf_counter() - start)
-        serial_ms = serial_best * 1000.0 / len(images)
-        batch_ms = time_detector_batch(detector, images, repeats=repeats)
-        rows.append(
-            {
-                "Method": method,
-                "Metric": metric,
-                "Serial (ms/img)": format_number(serial_ms),
-                "Batch (ms/img)": format_number(batch_ms),
-                "Serial (img/s)": format_number(1000.0 / serial_ms),
-                "Batch (img/s)": format_number(1000.0 / batch_ms),
-                "Speedup": format_number(serial_ms / batch_ms),
-            }
-        )
-    return ExperimentResult(
-        experiment_id="T7B",
-        title="Batch vs serial detection throughput",
-        rows=rows,
-        notes=(
-            "Min-of-repeats wall time over one pool of "
-            f"{len(images)} images; batch column routes through "
-            "detect_batch with a warm scaling-operator cache."
-        ),
-    )
 
 
 @experiment(

@@ -29,13 +29,13 @@ __all__ = [
     "median_filter",
     "uniform_filter",
     "gaussian_filter",
-    "filter_batch",
     "FILTERS",
 ]
 
 
-def _sliding_extreme(padded, size: int, axes: tuple[int, int], op) -> np.ndarray:
-    """Window min/max over *padded* via separable shifted-slice reduction.
+def _sliding_extreme(padded, size: int, op) -> np.ndarray:
+    """Window min/max over the two spatial axes of *padded* via separable
+    shifted-slice reduction.
 
     Min and max over a rectangle factor into a pass per axis, and each
     pass is ``size - 1`` elementwise ``np.minimum``/``np.maximum`` calls
@@ -44,7 +44,7 @@ def _sliding_extreme(padded, size: int, axes: tuple[int, int], op) -> np.ndarray
     sliding windows while never materializing them.
     """
     out = padded
-    for axis in axes:
+    for axis in (0, 1):
         length = out.shape[axis] - size + 1
         index = [slice(None)] * out.ndim
         index[axis] = slice(0, length)
@@ -72,7 +72,7 @@ def _window_reduce(image: np.ndarray, size: int, reducer) -> np.ndarray:
     padded = np.pad(img, pad, mode="reflect")
     if reducer is np.min or reducer is np.max:
         op = np.minimum if reducer is np.min else np.maximum
-        return _sliding_extreme(padded, size, (0, 1), op)
+        return _sliding_extreme(padded, size, op)
     windows = sliding_window_view(padded, (size, size), axis=(0, 1))
     # windows shape: (H, W[, C], size, size) -> reduce the trailing two axes.
     return reducer(windows, axis=(-2, -1))
@@ -135,48 +135,3 @@ FILTERS = {
     "median": median_filter,
     "uniform": uniform_filter,
 }
-
-#: Window reducer behind each order-statistic filter, for the batch path.
-_REDUCERS = {
-    "minimum": np.min,
-    "maximum": np.max,
-    "median": np.median,
-    "uniform": np.mean,
-}
-
-
-def filter_batch(stack: np.ndarray, name: str, size: int) -> np.ndarray:
-    """Apply one :data:`FILTERS` filter to a stack of same-shaped images.
-
-    *stack* is ``(N, H, W)`` or ``(N, H, W, C)`` float64. The result's
-    ``i``-th slice is **bit-identical** to ``FILTERS[name](stack[i], size)``:
-    reflect padding never crosses the batch axis and every output element
-    reduces the same ``size``×``size`` window with the same reducer — the
-    batch path only replaces N python-level passes (pad, window view,
-    reduce) with one.
-    """
-    if name not in _REDUCERS:
-        known = ", ".join(sorted(_REDUCERS))
-        raise ImageError(f"unknown filter {name!r}; known: {known}")
-    if stack.ndim not in (3, 4):
-        raise ImageError(
-            f"filter_batch expects a (N, H, W[, C]) stack, got shape {stack.shape}"
-        )
-    if size < 1:
-        raise ImageError(f"filter size must be >= 1, got {size}")
-    if size == 1:
-        return stack.astype(np.float64, copy=True)
-    img = stack.astype(np.float64, copy=False)
-    pad_before = (size - 1) // 2
-    pad_after = size - 1 - pad_before
-    pad = [(0, 0), (pad_before, pad_after), (pad_before, pad_after)]
-    if img.ndim == 4:
-        pad.append((0, 0))
-    padded = np.pad(img, pad, mode="reflect")
-    reducer = _REDUCERS[name]
-    if reducer is np.min or reducer is np.max:
-        op = np.minimum if reducer is np.min else np.maximum
-        return _sliding_extreme(padded, size, (1, 2), op)
-    windows = sliding_window_view(padded, (size, size), axis=(1, 2))
-    # windows shape: (N, H, W[, C], size, size) -> reduce the trailing two.
-    return _REDUCERS[name](windows, axis=(-2, -1))

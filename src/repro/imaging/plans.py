@@ -69,8 +69,6 @@ __all__ = [
     "geometry_cache_keys",
     "clear_plan_caches",
     "csp_count_fast",
-    "spectrum_magnitude_half",
-    "spectrum_magnitude_halves",
 ]
 
 
@@ -236,18 +234,6 @@ class ScoringPlan:
         planes = np.ascontiguousarray(float_image.transpose(2, 0, 1))
         return np.ascontiguousarray(self._round_trip_fused(planes).transpose(1, 2, 0))
 
-    def round_trip_batch(self, stack: np.ndarray) -> np.ndarray:
-        """Round-trip a ``(N, H, W)`` or ``(N, H, W, C)`` stack at once.
-
-        Each slice equals :meth:`round_trip` of that image: the batch runs
-        the same GEMM or banded contraction per 2-D slice.
-        """
-        apply = self._round_trip_fused if self.fused else self._round_trip_stacked
-        if stack.ndim == 3:
-            return apply(stack)
-        planes = np.ascontiguousarray(stack.transpose(0, 3, 1, 2))
-        return np.ascontiguousarray(apply(planes).transpose(0, 2, 3, 1))
-
 
 def _build_scoring_plan(key: tuple) -> ScoringPlan:
     src_shape, dst_shape, algorithm, upscale_algorithm = key
@@ -389,16 +375,6 @@ def get_spectrum_geometry(
 # -- fast CSP ---------------------------------------------------------------
 
 
-def spectrum_magnitude_half(gray: np.ndarray) -> np.ndarray:
-    """``|rfft2(gray)|`` — the half-spectrum magnitudes of a luma plane."""
-    return np.abs(_sfft.rfft2(gray))
-
-
-def spectrum_magnitude_halves(stack: np.ndarray) -> np.ndarray:
-    """Batched :func:`spectrum_magnitude_half` over a ``(N, H, W)`` stack."""
-    return np.abs(_sfft.rfft2(stack, axes=(-2, -1)))
-
-
 def _median_normalized(
     values: np.ndarray, low: float, scale: float
 ) -> float:
@@ -456,37 +432,26 @@ def _point_region_stats(
 
 
 def csp_count_fast(
-    gray: np.ndarray | None = None,
+    gray: np.ndarray,
     *,
-    magnitude_half: np.ndarray | None = None,
-    shape: tuple[int, int] | None = None,
     brightness_threshold: float = 160.0,
     lowpass_radius_fraction: float = 0.5,
     inner_radius_fraction: float = 0.09,
     min_area: int = 2,
     min_prominence: float = 35.0,
 ) -> int:
-    """The CSP count from a real FFT and cached geometry.
+    """The CSP count of the 2-D luma plane *gray*, from a real FFT and
+    cached geometry.
 
-    Pass either *gray* (a 2-D luma plane) or a precomputed
-    *magnitude_half* (``|rfft2|``, from :func:`spectrum_magnitude_halves`
-    in batched callers) together with the original *shape*. Agrees with
-    :func:`repro.imaging.fourier.csp_count_from_spectrum` on the
-    normalized spectrum; counts are exactly equal on the test corpus
+    Agrees with :func:`repro.imaging.fourier.csp_count_from_spectrum` on
+    the normalized spectrum; counts are exactly equal on the test corpus
     (the only divergence channel is sub-ulp FFT symmetry at exact
     threshold boundaries).
     """
-    if magnitude_half is None:
-        if gray is None:
-            raise ImageError("csp_count_fast needs a luma plane or magnitudes")
-        shape = gray.shape
-        magnitude_half = spectrum_magnitude_half(gray)
-    elif shape is None:
-        raise ImageError("magnitude_half requires the original spectrum shape")
-    h, w = shape
+    h, w = gray.shape
     geometry = get_spectrum_geometry((h, w), lowpass_radius_fraction)
 
-    flat_magnitude = magnitude_half.ravel()
+    flat_magnitude = np.abs(_sfft.rfft2(gray)).ravel()  # |rfft2| half spectrum
     low = float(np.log1p(flat_magnitude.min()))
     high = float(np.log1p(flat_magnitude.max()))
     if high - low <= 0:

@@ -17,7 +17,7 @@ decides what happens on a hit. Usage::
     if outcome.accepted:
         prediction = model(outcome.model_input)
 
-    outcomes = pipeline.submit_batch(batch)      # vectorized decision path
+    outcomes = pipeline.submit_batch(batch)      # one outcome per image, in order
     pipeline.stats.as_dict()                     # counters + p50/p95 + cache
 
 Submitting is two steps. :meth:`ProtectedPipeline.screen` scores and
@@ -219,9 +219,8 @@ class ProtectedPipeline:
         """Score *images* and apply the policy to each: scale, sanitize, or
         write the quarantine file.
 
-        No sequencing, stats or audit: :meth:`record` does that. One image
-        scores through ``detect_from``, more through the vectorized
-        ``detect_batch``; both give bit-identical verdicts.
+        No sequencing, stats or audit: :meth:`record` does that. Every
+        image scores on its own through ``detect_from``.
         """
         if not self.is_calibrated:
             raise DetectionError("pipeline is not calibrated; call calibrate() first")
@@ -231,10 +230,7 @@ class ProtectedPipeline:
             return []
         with self.metrics.timer("pipeline.screen"):
             analyses = [self.ensemble.analyze(image) for image in images]
-            if len(analyses) == 1:
-                detections = [self.ensemble.detect_from(analyses[0])]
-            else:
-                detections = self.ensemble.detect_batch(analyses)
+            detections = [self.ensemble.detect_from(analysis) for analysis in analyses]
         return [
             self._resolve(analysis, identifier, detection)
             for analysis, identifier, detection in zip(analyses, image_ids, detections)
@@ -353,9 +349,8 @@ class ProtectedPipeline:
         """Screen and record a list of images with generated ids
         (``<prefix>-00000``, ...).
 
-        A batch of two or more goes through the ensemble's vectorized
-        ``detect_batch`` path, so verdicts are bit-identical to per-image
-        :meth:`submit` at higher throughput. Outcomes keep the input order.
+        Each image is scored exactly as :meth:`submit` scores it, so
+        verdicts equal per-image submits. Outcomes keep the input order.
         """
         images = list(images)
         return self._submit(images, batch_image_ids(prefix, len(images)))

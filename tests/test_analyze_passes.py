@@ -239,6 +239,10 @@ def test_deprecated_import_from_wrong_module_is_flagged():
         "from repro.imaging.contours import region_stats_from_points\n\nregion_stats_from_points\n",
         "def account(pipeline):\n    return pipeline.record_remote_outcome('accepted')\n",
         "def path_of(log, image_id):\n    return log.pop_quarantine_path(image_id)\n",
+        "def scores(detector, images):\n    return detector.score_batch(images)\n",
+        "def trips(plan, stack):\n    return plan.round_trip_batch(stack)\n",
+        "from repro.imaging.filtering import filter_batch\n\nfilter_batch\n",
+        "from repro.imaging.plans import spectrum_magnitude_halves\n\nspectrum_magnitude_halves\n",
     ],
 )
 def test_removed_scoring_paths_are_flagged(source):

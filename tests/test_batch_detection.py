@@ -1,20 +1,31 @@
-"""Batch decision paths: bit-for-bit parity with the per-image paths,
-plus the scaling-operator cache backing them (``scaling_matrix``'s LRU,
-read through ``operator_cache_stats`` / ``clear_operator_cache``)."""
+"""Scoring many images: every batch entry point scores each image on its
+own, so it equals the per-image path by construction. These tests pin the
+batch entry points that remain (``Detector.scores``, which calibration
+uses, and ``ProtectedPipeline.submit_batch``) against references, plus
+the scaling-operator cache behind them (``scaling_matrix``'s LRU, read
+through ``operator_cache_stats`` / ``clear_operator_cache``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.ensemble import build_default_ensemble
+from repro.core.analysis import ImageAnalysis
+from repro.core.ensemble import DetectionEnsemble
 from repro.core.filtering_detector import FilteringDetector
 from repro.core.multiscale import MultiScaleScanner
 from repro.core.result import Direction, ThresholdRule
 from repro.core.scaling_detector import ScalingDetector
 from repro.core.steganalysis_detector import SteganalysisDetector
 from repro.imaging.coefficients import scaling_matrix, scaling_operators
-from repro.imaging.scaling import clear_operator_cache, operator_cache_stats, resize
+from repro.imaging.metrics import mse
+from repro.imaging.scaling import (
+    clear_operator_cache,
+    downscale_then_upscale,
+    operator_cache_stats,
+    resize,
+)
+from repro.serving.pipeline import ProtectedPipeline
 
 MODEL_INPUT = (16, 16)
 _GREATER = ThresholdRule(0.0, Direction.GREATER)
@@ -41,94 +52,110 @@ def mixed_pool(benign_images, attack_images):
     return pool
 
 
+def _calibrated_pipeline(benign_images, attack_images, ensemble=None):
+    pipeline = ProtectedPipeline(MODEL_INPUT, ensemble=ensemble)
+    pipeline.calibrate(benign_images, attack_images)
+    return pipeline
+
+
 class TestScoreBatchParity:
+    """``Detector.scores``, the batch entry point calibration uses."""
+
     @pytest.mark.parametrize("which", range(5))
     def test_bitwise_equal_scores_on_mixed_pool(self, which, mixed_pool):
+        """uint8 inputs score exactly as their float64 copies."""
         detector = _detectors()[which]
-        serial = [detector.score(image) for image in mixed_pool]
-        batch = detector.score_batch(mixed_pool)
-        assert batch == serial  # exact float equality, not approx
+        as_float = [np.asarray(image, np.float64) for image in mixed_pool]
+        assert detector.scores(mixed_pool) == detector.scores(as_float)
 
     def test_scaling_batch_handles_grayscale(self, gray_image):
         detector = ScalingDetector(MODEL_INPUT, metric="mse", threshold=_GREATER)
-        assert detector.score_batch([gray_image]) == [detector.score(gray_image)]
+        prepared = ImageAnalysis(gray_image)
+        assert detector.scores([prepared, gray_image]) == [detector.score(gray_image)] * 2
 
     def test_scaling_batch_handles_mixed_shapes(self, benign_images, gray_image, color_image):
+        """Interleaved shapes each get their own plan."""
         detector = ScalingDetector(MODEL_INPUT, metric="mse", threshold=_GREATER)
-        pool = [benign_images[0], gray_image, color_image]
-        assert detector.score_batch(pool) == [detector.score(image) for image in pool]
+        pool = [benign_images[0], gray_image, color_image, benign_images[1], gray_image]
+        expected = [
+            mse(image, downscale_then_upscale(image, MODEL_INPUT, "bilinear"))
+            for image in pool
+        ]
+        assert detector.scores(pool) == pytest.approx(expected, rel=1e-9)
 
     def test_empty_batch(self):
         detector = ScalingDetector(MODEL_INPUT, metric="mse", threshold=_GREATER)
-        assert detector.score_batch([]) == []
-        assert detector.detect_batch([]) == []
+        assert detector.scores([]) == []
 
 
 class TestDetectBatchParity:
+    """``submit_batch`` through a one-member ensemble of each detector."""
+
     @pytest.mark.parametrize("which", range(5))
     def test_verdicts_and_scores_match_detect(self, which, mixed_pool):
         detector = _detectors()[which]
+        pipeline = ProtectedPipeline(MODEL_INPUT, ensemble=DetectionEnsemble([detector]))
+        outcomes = pipeline.submit_batch(mixed_pool)
         serial = [detector.detect(image) for image in mixed_pool]
-        batch = detector.detect_batch(mixed_pool)
-        assert [d.is_attack for d in batch] == [d.is_attack for d in serial]
-        assert [d.score for d in batch] == [d.score for d in serial]
-        assert all(d.method == detector.method for d in batch)
+        assert [outcome.detection.detections for outcome in outcomes] == [
+            (detection,) for detection in serial
+        ]
 
-    def test_single_image_batch(self, benign_images):
-        detector = ScalingDetector(MODEL_INPUT, metric="mse", threshold=_GREATER)
-        (batch,) = detector.detect_batch(benign_images[:1])
-        serial = detector.detect(benign_images[0])
-        assert batch == serial
+    def test_single_image_batch(self, benign_images, attack_images):
+        batched = _calibrated_pipeline(benign_images, attack_images)
+        (outcome,) = batched.submit_batch(benign_images[:1])
+        serial = _calibrated_pipeline(benign_images, attack_images)
+        assert outcome.image_id == "batch-00000"
+        assert outcome.detection == serial.submit(benign_images[0]).detection
 
 
 class TestEnsembleBatch:
     def test_batch_matches_per_image(self, benign_images, attack_images):
-        ensemble = build_default_ensemble(MODEL_INPUT)
-        ensemble.calibrate(benign_images, attack_images)
-        pool = benign_images + attack_images
-        serial = [ensemble.detect(image) for image in pool]
-        batch = ensemble.detect_batch(pool)
-        assert [d.is_attack for d in batch] == [d.is_attack for d in serial]
-        assert [d.votes_for_attack for d in batch] == [
-            d.votes_for_attack for d in serial
+        """A same-shape batch: outcomes in input order, ``<prefix>-NNNNN``
+        ids, and the verdicts and scores of per-image submits."""
+        pool = [image for pair in zip(benign_images, attack_images) for image in pair]
+        batched = _calibrated_pipeline(benign_images, attack_images)
+        outcomes = batched.submit_batch(pool, prefix="upload")
+        serial = _calibrated_pipeline(benign_images, attack_images)
+        one_by_one = [serial.submit(image) for image in pool]
+        assert [o.image_id for o in outcomes] == [
+            f"upload-{index:05d}" for index in range(len(pool))
         ]
-        for b, s in zip(batch, serial):
-            assert [m.score for m in b.detections] == [m.score for m in s.detections]
+        assert [o.action for o in outcomes] == [o.action for o in one_by_one]
+        assert [o.detection for o in outcomes] == [o.detection for o in one_by_one]
 
     def test_batch_separates_attacks(self, benign_images, attack_images):
-        ensemble = build_default_ensemble(MODEL_INPUT)
-        ensemble.calibrate(benign_images, attack_images)
-        verdicts = ensemble.detect_batch(benign_images + attack_images)
+        pipeline = _calibrated_pipeline(benign_images, attack_images)
+        outcomes = pipeline.submit_batch(benign_images + attack_images)
         n = len(benign_images)
-        assert not any(d.is_attack for d in verdicts[:n])
-        assert all(d.is_attack for d in verdicts[n:])
+        assert all(outcome.accepted for outcome in outcomes[:n])
+        assert not any(outcome.accepted for outcome in outcomes[n:])
 
 
 class TestMultiScaleBatch:
     def test_batch_matches_per_image(self, benign_images, attack_images):
+        """Each size's entry is that size's own detector on the image."""
         scanner = MultiScaleScanner(
             [(16, 16), (32, 32), (64, 64)], algorithm="bilinear"
         )
         scanner.calibrate(benign_images, percentile=5.0)
-        pool = benign_images + attack_images
-        serial = [scanner.detect(image) for image in pool]
-        batch = scanner.detect_batch(pool)
-        assert [d.is_attack for d in batch] == [d.is_attack for d in serial]
-        assert [d.inferred_target_size for d in batch] == [
-            d.inferred_target_size for d in serial
-        ]
-        assert [d.per_size for d in batch] == [d.per_size for d in serial]
+        for image in benign_images + attack_images:
+            per_size = scanner.detect(image).per_size
+            for size, detector in scanner.detectors.items():
+                detection = detector.detect(image)
+                assert per_size[size] == (
+                    detection.score,
+                    detection.threshold.value,
+                    detection.is_attack,
+                )
 
     def test_batch_with_mixed_applicability(self, benign_images, gray_image):
         """A 40x40 image skips the 64x64 candidate; the 128x128 ones don't."""
         scanner = MultiScaleScanner([(16, 16), (64, 64)], algorithm="bilinear")
         scanner.calibrate(benign_images, percentile=5.0)
         pool = [benign_images[0], gray_image, benign_images[1]]
-        batch = scanner.detect_batch(pool)
-        assert set(batch[0].per_size) == {(16, 16), (64, 64)}
-        assert set(batch[1].per_size) == {(16, 16)}
-        serial = [scanner.detect(image) for image in pool]
-        assert [d.per_size for d in batch] == [d.per_size for d in serial]
+        sizes = [set(scanner.detect(image).per_size) for image in pool]
+        assert sizes == [{(16, 16), (64, 64)}, {(16, 16)}, {(16, 16), (64, 64)}]
 
 
 class TestOperatorCache:

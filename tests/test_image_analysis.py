@@ -81,21 +81,18 @@ class TestMemoization:
         analysis.round_trip((8, 8), "bilinear")
         assert analysis.memo_stats()["round_trip"] == {"hits": 0, "misses": 3}
 
-    def test_peek_never_computes(self, color_image):
-        analysis = ImageAnalysis(color_image)
-        key = ImageAnalysis.log_spectrum_key()
-        assert analysis.peek(key) is None
-        assert "log_spectrum" not in analysis.memo_stats()
-
     def test_forget_arrays_keeps_scalars(self, color_image):
         analysis = ImageAnalysis(color_image)
         key = ImageAnalysis.round_trip_key(MODEL_INPUT)
         score = analysis.mse_against(key)
         analysis.forget_arrays()
-        assert analysis.peek(key) is None
         # The scalar survives: asking again is a hit, not a recompute.
         assert analysis.mse_against(key) == score
-        assert analysis.memo_stats()["mse"]["misses"] == 1
+        assert analysis.memo_stats()["mse"] == {"hits": 1, "misses": 1}
+        # The image-sized round trip is gone: asking again recomputes it.
+        assert analysis.memo_stats()["round_trip"] == {"hits": 0, "misses": 1}
+        analysis.round_trip(MODEL_INPUT)
+        assert analysis.memo_stats()["round_trip"] == {"hits": 0, "misses": 2}
 
     def test_counters_mirrored_into_metrics(self, color_image):
         metrics = Metrics()
@@ -193,14 +190,6 @@ class TestSharedContexts:
         assert values["analysis.float.miss"] == 1
         assert values["analysis.float.hit"] >= 1
 
-    def test_ensemble_detect_matches_detect_batch(self, benign_images, attack_images):
-        ensemble = build_default_ensemble(MODEL_INPUT)
-        ensemble.calibrate(benign_images, percentile=5.0)
-        pool = [*benign_images, *attack_images]
-        serial = [ensemble.detect(image) for image in pool]
-        batch = ensemble.detect_batch(pool)
-        assert serial == batch
-
     def test_two_members_sharing_an_intermediate_hit_the_memo(self, benign_images):
         metrics = Metrics()
         analysis = ImageAnalysis(benign_images[0], metrics=metrics)
@@ -220,14 +209,6 @@ class TestSharedContexts:
         assert values["analysis.float.miss"] == 1
         # Two sizes -> two distinct round trips, each computed once.
         assert values["analysis.round_trip.miss"] == 2
-
-    def test_scanner_detect_matches_detect_batch(self, benign_images, attack_images):
-        scanner = MultiScaleScanner([(8, 8), (16, 16)], algorithm="bilinear")
-        scanner.calibrate(benign_images, percentile=5.0)
-        pool = [*benign_images, *attack_images]
-        serial = [scanner.detect(image) for image in pool]
-        batch = scanner.detect_batch(pool)
-        assert serial == batch
 
     def test_pipeline_stats_expose_memo_savings(self, benign_images):
         from repro.serving import ProtectedPipeline
@@ -249,7 +230,9 @@ class TestSharedContexts:
 
 
 class TestFusedFilteringBatch:
-    """Satellite: FilteringDetector.score_batch is fused and exactly equal."""
+    """Every filter over a pool: ``Detector.scores`` runs each image through
+    the one per-image path and matches the filter-then-metric reference
+    built from the imaging primitives."""
 
     @pytest.mark.parametrize("name,size", [("minimum", 2), ("maximum", 2), ("median", 3), ("uniform", 3)])
     @pytest.mark.parametrize("metric", ["mse", "ssim"])
@@ -259,25 +242,30 @@ class TestFusedFilteringBatch:
             filter_name=name, filter_size=size, metric=metric, threshold=threshold
         )
         pool = [*benign_images, *attack_images]
-        assert detector.score_batch(pool) == [detector.score(image) for image in pool]
+        reference = mse if metric == "mse" else ssim
+        expected = [reference(image, FILTERS[name](image, size)) for image in pool]
+        assert detector.scores(pool) == pytest.approx(expected, rel=1e-9)
 
     def test_mixed_shapes_and_dtypes(self, benign_images, gray_image, color_image):
+        """uint8 inputs score exactly as their float64 copies, whatever
+        the shape."""
         detector = FilteringDetector(metric="mse", threshold=_GREATER)
         pool = [benign_images[0], gray_image, color_image, benign_images[1], gray_image + 1.0]
-        assert detector.score_batch(pool) == [detector.score(image) for image in pool]
+        as_float = [np.asarray(image, np.float64) for image in pool]
+        assert detector.scores(pool) == detector.scores(as_float)
 
     def test_prepared_contexts_are_not_recomputed(self, benign_images):
         detector = FilteringDetector(metric="mse", threshold=_GREATER)
         analyses = [ImageAnalysis(image) for image in benign_images]
-        detector.score_batch(analyses)
-        detector.score_batch(analyses)
+        detector.scores(analyses)
+        detector.scores(analyses)
         for analysis in analyses:
             assert analysis.memo_stats()["filtered"]["misses"] == 1
 
     def test_filter_size_one_matches(self, benign_images):
+        """A 1x1 window is the identity, so the residual is exactly zero."""
         detector = FilteringDetector(filter_size=1, metric="mse", threshold=_GREATER)
-        pool = list(benign_images)
-        assert detector.score_batch(pool) == [detector.score(image) for image in pool]
+        assert detector.scores(benign_images) == [0.0] * len(benign_images)
 
 
 class TestDetectorWrappers:

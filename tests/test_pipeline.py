@@ -7,6 +7,8 @@ from repro.attacks.base import AttackConfig
 from repro.core.pipeline import build_attack_set, evaluate_detector, evaluate_ensemble
 from repro.core.ensemble import build_default_ensemble
 from repro.core.scaling_detector import ScalingDetector
+from repro.datasets.synthetic import generate_image
+from repro.serving import ProtectedPipeline
 
 from tests.conftest import MODEL_INPUT, SOURCE_SHAPE
 
@@ -63,3 +65,23 @@ class TestEvaluate:
         counts = evaluate_ensemble(ensemble, attack_set)
         assert counts.recall == 1.0
         assert counts.frr <= 0.2
+
+
+class TestPerImageDetectorLatency:
+    def test_batch_records_one_latency_per_image(self, benign_images):
+        """A batch of a small and a large image gives each detector
+        histogram two distinct samples, not the batch average twice."""
+        pipeline = ProtectedPipeline(MODEL_INPUT)
+        pipeline.calibrate(benign_images, percentile=5.0)
+        small, large = (
+            generate_image((side, side), np.random.default_rng(side), family="neurips")
+            for side in (32, 256)
+        )
+        names = ["detector.scaling.mse", "detector.filtering.ssim", "detector.steganalysis.csp"]
+        before = {name: pipeline.metrics.histogram(name).count for name in names}
+        pipeline.submit_batch([small, large])
+        latency = pipeline.stats.as_dict()["latency_ms"]
+        for name in names:
+            summary = latency[name]
+            assert summary["count"] == before[name] + 2, name
+            assert summary["min_ms"] < summary["max_ms"], (name, summary)

@@ -87,6 +87,24 @@ DEPRECATED_NAMES: dict[str, dict] = {
         "shards use a plain AuditLog",
         "allowed_owners": set(),
     },
+    # The stacked batch scoring path was removed: every image scores on
+    # its own through score_from, and a batch is a loop.
+    "score_batch": {
+        "hint": "use Detector.scores(images), a loop over score",
+        "allowed_owners": set(),
+    },
+    "round_trip_batch": {
+        "hint": "call ScoringPlan.round_trip once per image",
+        "allowed_owners": set(),
+    },
+    "filter_batch": {
+        "hint": "call FILTERS[name](image, size) once per image",
+        "allowed_owners": set(),
+    },
+    "spectrum_magnitude_halves": {
+        "hint": "csp_count_fast(gray) computes the spectrum of one image",
+        "allowed_owners": set(),
+    },
 }
 
 
