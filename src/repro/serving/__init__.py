@@ -12,11 +12,10 @@ from repro.serving.audit import AuditLog, AuditRecord
 from repro.serving.client import DetectionClient, DetectionVerdict
 from repro.serving.pipeline import PipelineOutcome, PipelineStats, ProtectedPipeline
 from repro.serving.policy import Policy
-from repro.serving.server import AdmissionQueue, DetectionServer, ServerConfig
+from repro.serving.server import DetectionServer, ServerConfig
 from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec
 
 __all__ = [
-    "AdmissionQueue",
     "AuditLog",
     "AuditRecord",
     "DetectionClient",

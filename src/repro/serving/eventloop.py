@@ -10,9 +10,13 @@ event-loop thread that:
 * parses HTTP/1.1 requests **incrementally** — a client trickling its
   headers one byte per second holds a 100-odd-byte buffer, not a thread,
   so a slow-loris herd cannot starve healthy clients;
-* hands each complete request to a small dispatch pool (sized to the
-  admission queue: ``max_active + queue_depth`` plus slack) where the
-  server's request core does admission, scoring, and error mapping;
+* is the server's only admission gate: a detect request takes one of
+  ``max_active`` slots, waits in a FIFO deque of at most ``queue_depth``
+  entries until a slot frees or its deadline passes (503), or is answered
+  429 at once — so a waiting request costs a deque entry, not a thread;
+* hands each admitted request to a small dispatch pool
+  (``max_active`` plus slack for ``GET`` and non-detect requests) where
+  the server's request core does scoring and error mapping;
 * queues the serialized response back to the loop thread, which writes it
   nonblockingly and resumes parsing the connection (keep-alive, in
   order).
@@ -20,14 +24,11 @@ event-loop thread that:
 Responses follow the standard library's ``http.server`` wire format
 (status line, ``Server``/``Date`` headers, explicit header order, body);
 the golden-byte grid in ``tests/test_serving_server.py`` pins them.
-When every admission slot and waiting-room seat is spoken for, the loop
-answers 429 directly instead of parking the request in the dispatch
-pool, so backpressure fails fast.
 
 Lifecycle: the loop owns every connection; :meth:`EventLoopFrontend.stop`
-stops accepting, lets in-flight requests finish writing (bounded by the
-drain deadline), then closes everything — an accepted request is never
-dropped by a drain.
+stops accepting, lets admitted requests (active or waiting) finish
+writing (bounded by the drain deadline), then closes everything — an
+accepted request is never dropped by a drain.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import email.utils
 import html
 import io
 import json
+import re
 import selectors
 import socket
 import sys
@@ -47,7 +49,7 @@ from http import HTTPStatus
 from http.client import HTTPException, parse_headers
 from http.server import DEFAULT_ERROR_CONTENT_TYPE, DEFAULT_ERROR_MESSAGE
 
-__all__ = ["EventLoopFrontend", "serialize_response"]
+__all__ = ["DETECT_PATHS", "EventLoopFrontend", "body_framing", "serialize_response"]
 
 #: ``Server:`` header value, in ``http.server``'s "<version> Python/<x.y.z>"
 #: form.
@@ -59,8 +61,11 @@ _MAX_BUFFER_SLACK = 1024 * 1024
 #: An idle keep-alive older than this is closed, and a drain waits at most
 #: this long for a response it cannot write, seconds.
 _SOCKET_TIMEOUT_S = 10.0
-#: Paths whose dispatch is bounded by the admission queue's capacity.
-_DETECT_PATHS = ("/v1/detect", "/v1/detect/batch")
+#: Paths whose requests pass the admission gate.
+DETECT_PATHS = ("/v1/detect", "/v1/detect/batch")
+#: A Content-Length value is ``1*DIGIT`` (RFC 9112 §6.3): no sign, no
+#: underscores, no list.
+_DIGITS = re.compile(r"[0-9]+")
 
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
@@ -85,6 +90,31 @@ def serialize_response(status: int, headers, body: bytes, *, reason: str | None 
         lines.append(f"{name}: {value}\r\n")
     lines.append("\r\n")
     return "".join(lines).encode("latin-1", "strict") + body
+
+
+def body_framing(headers, max_body_bytes: int) -> tuple[int, tuple[int, str] | None]:
+    """Decide a POST body's framing from its ``Content-Length`` headers.
+
+    Returns ``(length, None)`` when *length* body bytes follow, or
+    ``(0, (status, message))`` when the request must be refused without
+    reading a body: 411 when the header is missing, 400 when a value is
+    not ``1*DIGIT`` or duplicates differ (RFC 9112 §6.3; identical
+    duplicates pass), 413 past *max_body_bytes*. The server's only
+    Content-Length parser.
+    """
+    values = [value.strip() for value in headers.get_all("Content-Length") or ()]
+    if not values:
+        return 0, (411, "Content-Length required")
+    raw = values[0] if len(set(values)) == 1 else ", ".join(values)
+    try:
+        length = int(raw) if _DIGITS.fullmatch(raw) else -1
+    except ValueError:  # more digits than int() converts
+        length = -1
+    if length < 0:
+        return 0, (400, f"invalid Content-Length {raw!r}")
+    if length > max_body_bytes:
+        return 0, (413, f"body of {length} bytes exceeds limit")
+    return length, None
 
 
 def _unsupported_method_body(method: str) -> tuple[bytes, str]:
@@ -140,7 +170,10 @@ class _Connection:
 
 class EventLoopFrontend:
     """One selector thread + a bounded dispatch pool, feeding the shared
-    request core of a :class:`~repro.serving.server.DetectionServer`."""
+    request core of a :class:`~repro.serving.server.DetectionServer`.
+
+    The loop thread alone owns the admission state (the active count and
+    the waiting deque), so it takes no lock."""
 
     def __init__(self, server) -> None:
         self._server = server
@@ -153,13 +186,18 @@ class EventLoopFrontend:
         self._waker_recv, self._waker_send = socket.socketpair()
         self._waker_recv.setblocking(False)
         self._waker_send.setblocking(False)
-        self._capacity = config.max_active + config.queue_depth
+        # Detect requests hold at most max_active threads; the 4 spare
+        # threads serve GET /healthz, GET /metrics and non-detect requests.
         self._executor = ThreadPoolExecutor(
-            max_workers=self._capacity + 4, thread_name_prefix="eventloop-dispatch"
+            max_workers=config.max_active + 4, thread_name_prefix="eventloop-dispatch"
         )
-        self._lock = threading.Lock()  # guards completions + inflight count
+        self._lock = threading.Lock()  # guards completions
         self._completions: deque = deque()
-        self._inflight_detect = 0
+        self._active = 0
+        #: (deadline, conn, request) per waiting detect request, oldest first.
+        self._waiting: deque = deque()
+        self._in_flight_gauge = server.metrics.gauge("server.in_flight")
+        self._queue_gauge = server.metrics.gauge("server.queue_depth")
         self._connections: dict[int, _Connection] = {}
         self._stopping = threading.Event()
         self._stopped = threading.Event()
@@ -237,6 +275,7 @@ class EventLoopFrontend:
                         self._drain_waker()
                     else:
                         self._service(selector, key.data, _mask)
+                self._expire_waiting()
                 self._flush_completions(selector)
                 if drain_deadline is not None or time.monotonic() >= next_sweep:
                     self._sweep(selector, drain_deadline)
@@ -382,82 +421,103 @@ class EventLoopFrontend:
             self._respond_unsupported(conn, method)
             return False
         conn.request = (method, path, headers, requestline)
+        refusal = None
         if method == "POST":
-            length = self._body_length(headers)
-            if length is not None:
+            length, refusal = body_framing(headers, self._server.config.max_body_bytes)
+            if refusal is None:
                 conn.state = "body"
                 conn.body_target = length
                 return True
-        # No (valid, acceptable) body to wait for: the request core makes
-        # the 411/413/400 call itself; any frame the client does send
-        # afterwards would desync the stream, so the core marks those
-        # responses Connection: close.
-        self._complete_request(conn, b"")
+        # No body to wait for. A detect request refused on its framing
+        # (411/400/413, before buffering a 64 MiB body) answers
+        # Connection: close, since any body the client sends afterwards
+        # would desync the stream.
+        self._complete_request(conn, b"", refusal)
         return False
 
-    def _body_length(self, headers) -> int | None:
-        """How many body bytes to consume before dispatch, or None when the
-        request core will refuse the request without reading a body."""
-        raw = headers.get("Content-Length")
-        if raw is None:
-            return None  # 411
-        try:
-            length = int(raw)
-        except ValueError:
-            return None  # 400
-        if length < 0:
-            return None  # 400
-        if length > self._server.config.max_body_bytes:
-            return None  # 413 — refuse before buffering a 64 MiB body
-        return length
+    # -- admission + dispatch -------------------------------------------
 
-    # -- dispatch -------------------------------------------------------
-
-    def _complete_request(self, conn: _Connection, body: bytes) -> None:
+    def _complete_request(
+        self, conn: _Connection, body: bytes, refusal: tuple[int, str] | None = None
+    ) -> None:
+        """Route one parsed request. A detect request that passes the
+        draining and framing checks runs now, waits, or is answered 429."""
         method, path, headers, requestline = conn.request
         conn.request = None
         conn.state = "busy"
-        now = time.monotonic()
         if conn.first_byte_at is not None:
             self._server.metrics.observe(
-                "eventloop.read", (now - conn.first_byte_at) * 1000.0
+                "eventloop.read", (time.monotonic() - conn.first_byte_at) * 1000.0
             )
             conn.first_byte_at = None
-        # Requests the core will refuse on body framing (411/400/413) never
-        # reach admission — they must not take the saturation
-        # short-circuit (nor count as in-flight work).
-        detect = (
-            method == "POST"
-            and path in _DETECT_PATHS
-            and self._body_length(headers) is not None
-        )
-        if detect:
-            with self._lock:
-                saturated = self._inflight_detect >= self._capacity
-                if not saturated:
-                    self._inflight_detect += 1
-            if saturated:
-                # Fail fast from the loop thread, exactly as the core
-                # does on a full waiting room — parking the
-                # request in the dispatch pool would turn backpressure
-                # into unbounded latency.
-                response = self._server.saturated_response(
-                    headers, requestline=requestline
-                )
-                self._enqueue_response(conn, response, detect=False)
-                return
-        self._executor.submit(
-            self._dispatch, conn, method, path, headers, body, requestline, now, detect
-        )
+        request = (method, path, headers, body, requestline)
+        if method != "POST" or path not in DETECT_PATHS:
+            self._submit(conn, request, detect=False)
+        elif self._server.draining:
+            self._refuse(conn, request, 503, "server is draining")
+        elif refusal is not None:
+            self._refuse(conn, request, *refusal, close=True)
+        elif self._active < self._server.config.max_active:
+            self._active += 1
+            self._in_flight_gauge.set(self._active)
+            self._submit(conn, request, detect=True)
+        elif len(self._waiting) < self._server.config.queue_depth:
+            deadline = time.monotonic() + self._server.config.deadline_ms / 1000.0
+            self._waiting.append((deadline, conn, request))
+            self._queue_gauge.set(len(self._waiting))
+        else:
+            message = f"admission queue full ({len(self._waiting)} waiting)"
+            self._refuse(conn, request, 429, message)
 
-    def _dispatch(
-        self, conn, method, path, headers, body, requestline, enqueued_at, detect
+    def _release_slot(self) -> None:
+        """A detect response came back: its slot goes to the oldest waiter."""
+        if self._waiting:
+            _deadline, conn, request = self._waiting.popleft()
+            self._queue_gauge.set(len(self._waiting))
+            self._submit(conn, request, detect=True)
+        else:
+            self._active -= 1
+            self._in_flight_gauge.set(self._active)
+
+    def _expire_waiting(self) -> None:
+        """Answer 503 to every waiter past its deadline (oldest first, so
+        the deque is in deadline order)."""
+        now = time.monotonic()
+        if not self._waiting or self._waiting[0][0] > now:
+            return
+        message = f"gave up after {self._server.config.deadline_ms:.0f} ms in queue"
+        while self._waiting and self._waiting[0][0] <= now:
+            _deadline, conn, request = self._waiting.popleft()
+            self._refuse(conn, request, 503, message)
+        self._queue_gauge.set(len(self._waiting))
+
+    def _refuse(
+        self,
+        conn: _Connection,
+        request,
+        status: int,
+        message: str,
+        *,
+        close: bool = False,
     ) -> None:
+        """Answer a detect request the gate turns away, from the loop thread,
+        through the request core's one refusal path."""
+        _method, _path, headers, _body, requestline = request
+        response = self._server.refuse(
+            status, message, headers, requestline=requestline, close=close
+        )
+        self._enqueue_response(conn, response, detect=False)
+
+    def _submit(self, conn: _Connection, request, detect: bool) -> None:
+        self._executor.submit(self._dispatch, conn, request, time.monotonic(), detect)
+
+    def _dispatch(self, conn, request, enqueued_at, detect) -> None:
         """Dispatch-pool thread: run the shared request core, hand the
         serialized response back to the loop."""
         self._server.metrics.observe(
             "eventloop.dispatch", (time.monotonic() - enqueued_at) * 1000.0
         )
+        method, path, headers, body, requestline = request
         try:
             response = self._server.handle_http_request(
                 method, path, headers, body, requestline=requestline
@@ -470,9 +530,7 @@ class EventLoopFrontend:
     def _enqueue_response(self, conn: _Connection, response, detect: bool) -> None:
         data = serialize_response(response.status, response.headers, response.body)
         with self._lock:
-            self._completions.append((conn, data, response.close))
-            if detect:
-                self._inflight_detect -= 1
+            self._completions.append((conn, data, response.close, detect))
         self._wake()
 
     def _flush_completions(self, selector) -> None:
@@ -480,7 +538,9 @@ class EventLoopFrontend:
             with self._lock:
                 if not self._completions:
                     return
-                conn, data, close = self._completions.popleft()
+                conn, data, close, detect = self._completions.popleft()
+            if detect:
+                self._release_slot()
             if not conn.open:
                 continue
             conn.outbuf += data
@@ -530,10 +590,9 @@ class EventLoopFrontend:
         self._server.metrics.counter("server.responses.501").add(1)
         conn.state = "busy"
         conn.request = None
+        data = serialize_response(501, headers, body, reason=message)
         with self._lock:
-            self._completions.append(
-                (conn, serialize_response(501, headers, body, reason=message), True)
-            )
+            self._completions.append((conn, data, True, False))
         # Called from the loop thread; completions flush on this tick.
 
     def _reject(self, selector, conn: _Connection, status: int, message: str) -> None:

@@ -8,18 +8,20 @@ nothing beyond the standard library:
   (per-detector scores, thresholds, the pipeline action).
 * ``POST /v1/detect/batch`` — length-prefixed batch body
   (:func:`repro.serving.wire.pack_batch`), JSON list of verdicts.
-* ``GET /healthz`` — readiness: calibrated pipeline, not draining, and the
-  admission queue below saturation.
+* ``GET /healthz`` — readiness: calibrated pipeline, not draining, and
+  room for one more detect request.
 * ``GET /metrics`` — Prometheus text exposition rendered from the
   pipeline's :class:`~repro.observability.Metrics`, including the
   operator-cache and shared-analysis memo hit rates.
 
-Every detect request passes through a bounded admission queue: up to
-``max_active`` requests score concurrently, up to ``queue_depth`` more may
-wait, and each waiter carries a deadline. A full queue answers ``429``
-with ``Retry-After``; a deadline overrun answers ``503``. SIGTERM (or
+The event loop (:mod:`repro.serving.eventloop`) is the only admission
+gate: up to ``max_active`` detect requests score concurrently, up to
+``queue_depth`` more wait in its deque, and each waiter carries a
+deadline. A full waiting room answers ``429`` with ``Retry-After``; a
+deadline overrun answers ``503``. Every refusal goes through
+:meth:`DetectionServer.refuse`. SIGTERM (or
 :meth:`DetectionServer.shutdown`) drains gracefully — the listener stops
-accepting, in-flight requests finish, and the audit log is flushed, so an
+accepting, admitted requests finish, and the audit log is flushed, so an
 accepted request is never dropped.
 
 Every detect request runs one job function,
@@ -56,13 +58,13 @@ import uuid
 from dataclasses import dataclass
 
 from repro.errors import CodecError, DetectionError, ImageError, ReproError
-from repro.observability import Metrics, render_process_metrics, render_prometheus
-from repro.serving.eventloop import EventLoopFrontend
+from repro.observability import render_process_metrics, render_prometheus
+from repro.serving.eventloop import DETECT_PATHS, EventLoopFrontend
 from repro.serving.pipeline import ProtectedPipeline, cache_stats
 from repro.serving.wire import METRICS_CONTENT_TYPE, unpack_batch
 from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec, score_job
 
-__all__ = ["ServerConfig", "DetectionServer", "AdmissionQueue", "WireResponse"]
+__all__ = ["ServerConfig", "DetectionServer", "WireResponse"]
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,8 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port; read the real one from ``server.address``.
     port: int = 8080
-    #: Requests scoring concurrently; the rest wait in the admission queue.
+    #: Detect requests scoring concurrently; the rest wait in the event
+    #: loop's waiting room.
     max_active: int = 4
     #: Waiting-room capacity. A full room answers 429 + Retry-After.
     queue_depth: int = 16
@@ -85,14 +88,9 @@ class ServerConfig:
     #: Print one log line per request to stderr.
     verbose: bool = False
     #: Scoring shard processes (:mod:`repro.serving.workers`); 0 runs the
-    #: detect job in the dispatcher.
+    #: detect job in the dispatcher. The shard lifecycle keeps
+    #: :class:`WorkerPoolConfig`'s defaults.
     workers: int = 0
-    #: Shard lifecycle knobs, forwarded to :class:`WorkerPoolConfig`. The
-    #: wedged-job timeout stays at that class's ``job_timeout_s`` (30 s).
-    worker_heartbeat_interval_s: float = 0.25
-    worker_liveness_timeout_s: float = 10.0
-    worker_restart_backoff_base_s: float = 0.1
-    worker_restart_backoff_max_s: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -112,75 +110,6 @@ class WireResponse:
     close: bool = False
 
 
-class _Saturated(ReproError):
-    """Admission queue waiting room is full."""
-
-
-class _DeadlineExceeded(ReproError):
-    """A request waited past its admission deadline."""
-
-
-class AdmissionQueue:
-    """Bounded two-stage admission control: active slots + waiting room.
-
-    ``acquire`` either takes an active slot immediately, waits (bounded by
-    the deadline) in the waiting room, or fails fast when the room is
-    full. The current occupancy is mirrored into the ``server.in_flight``
-    and ``server.queue_depth`` gauges on every transition.
-    """
-
-    def __init__(self, max_active: int, queue_depth: int, metrics: Metrics) -> None:
-        if max_active < 1:
-            raise ReproError(f"max_active must be >= 1, got {max_active}")
-        if queue_depth < 0:
-            raise ReproError(f"queue_depth must be >= 0, got {queue_depth}")
-        self.max_active = max_active
-        self.queue_depth = queue_depth
-        self._cond = threading.Condition()
-        self._active = 0
-        self._waiting = 0
-        self._in_flight_gauge = metrics.gauge("server.in_flight")
-        self._queue_gauge = metrics.gauge("server.queue_depth")
-
-    @property
-    def waiting(self) -> int:
-        return self._waiting
-
-    def acquire(self, deadline_s: float) -> None:
-        deadline = time.monotonic() + deadline_s
-        with self._cond:
-            if self._active >= self.max_active:
-                if self._waiting >= self.queue_depth:
-                    raise _Saturated(
-                        f"admission queue full ({self._waiting} waiting)"
-                    )
-                self._waiting += 1
-                self._queue_gauge.set(self._waiting)
-                try:
-                    while self._active >= self.max_active:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise _DeadlineExceeded(
-                                f"gave up after {deadline_s * 1000:.0f} ms in queue"
-                            )
-                        self._cond.wait(remaining)
-                finally:
-                    self._waiting -= 1
-                    self._queue_gauge.set(self._waiting)
-            self._active += 1
-            self._in_flight_gauge.set(self._active)
-
-    def release(self) -> None:
-        with self._cond:
-            self._active -= 1
-            self._in_flight_gauge.set(self._active)
-            self._cond.notify()
-
-    def quiesced(self) -> bool:
-        with self._cond:
-            return self._active == 0 and self._waiting == 0
-
-
 class DetectionServer:
     """The detection service: the request core plus lifecycle.
 
@@ -194,10 +123,11 @@ class DetectionServer:
     ) -> None:
         self.pipeline = pipeline
         self.config = config or ServerConfig()
+        if self.config.max_active < 1:
+            raise ReproError(f"max_active must be >= 1, got {self.config.max_active}")
+        if self.config.queue_depth < 0:
+            raise ReproError(f"queue_depth must be >= 0, got {self.config.queue_depth}")
         self.metrics = pipeline.metrics
-        self.admission = AdmissionQueue(
-            self.config.max_active, self.config.queue_depth, self.metrics
-        )
         self.draining = False
         self._frontend = EventLoopFrontend(self)
         self._shutdown_lock = threading.Lock()
@@ -209,17 +139,58 @@ class DetectionServer:
     def handle_http_request(
         self, method: str, path: str, headers, body: bytes, *, requestline: str = ""
     ) -> WireResponse:
-        """Decide one request end-to-end: routing, admission, scoring,
-        error mapping, counters, and logging.
+        """Answer one request the front end dispatched: a GET, a POST to an
+        unknown path, or a detect request holding an admission slot, whose
+        framing the front end already checked. Routing, scoring, error
+        mapping, counters, and logging.
 
         ``headers`` is any mapping with ``.get`` (an ``email.message``
-        object); ``body`` is the request body the front end buffered, empty
-        when the Content-Length checks below will refuse the request.
+        object); ``body`` is the request body the front end buffered.
         """
-        request_id = (headers.get("X-Request-Id") or "").strip() or uuid.uuid4().hex[:12]
+        request_id = self._request_id(headers)
         if method == "GET":
             return self._handle_get(path, request_id, requestline)
-        return self._handle_post(path, headers, body, request_id, requestline)
+        if path not in DETECT_PATHS:
+            return self._error_response(
+                404, f"unknown path {path}", request_id, requestline
+            )
+        self.metrics.counter("server.requests").add(1)
+        with self.metrics.timer("server.request"):
+            return self._detect_response(
+                path == "/v1/detect/batch", body, request_id, requestline
+            )
+
+    def refuse(
+        self,
+        status: int,
+        message: str,
+        headers,
+        *,
+        requestline: str = "",
+        close: bool = False,
+    ) -> WireResponse:
+        """The one refusal path for detect requests the front end turns
+        away unscored: draining (503), body framing (411/400/413), a full
+        waiting room (429), a queue deadline (503).
+
+        Counts the request in ``server.requests``. Framing refusals pass
+        ``close``: the unread body bytes would be parsed as the next
+        request on a reused stream. The others are transient and carry
+        ``Retry-After``.
+        """
+        self.metrics.counter("server.requests").add(1)
+        return self._error_response(
+            status,
+            message,
+            self._request_id(headers),
+            requestline,
+            retry_after_s=None if close else self.config.retry_after_s,
+            close=close,
+        )
+
+    @staticmethod
+    def _request_id(headers) -> str:
+        return (headers.get("X-Request-Id") or "").strip() or uuid.uuid4().hex[:12]
 
     def _handle_get(self, path: str, request_id: str, requestline: str) -> WireResponse:
         if path == "/healthz":
@@ -234,97 +205,6 @@ class DetectionServer:
                 request_id=request_id,
             )
         return self._error_response(404, f"unknown path {path}", request_id, requestline)
-
-    def _handle_post(
-        self, path: str, headers, body: bytes, request_id: str, requestline: str
-    ) -> WireResponse:
-        if path not in ("/v1/detect", "/v1/detect/batch"):
-            return self._error_response(
-                404, f"unknown path {path}", request_id, requestline
-            )
-        self.metrics.counter("server.requests").add(1)
-        if self.draining:
-            return self._error_response(
-                503,
-                "server is draining",
-                request_id,
-                requestline,
-                retry_after_s=self.config.retry_after_s,
-            )
-        # Body-framing refusals close the connection: the unread body bytes
-        # would be parsed as the next request on a reused stream.
-        raw_length = headers.get("Content-Length")
-        if raw_length is None:
-            return self._error_response(
-                411, "Content-Length required", request_id, requestline, close=True
-            )
-        try:
-            length = int(raw_length)
-        except ValueError:
-            length = -1
-        if length < 0:
-            return self._error_response(
-                400,
-                f"invalid Content-Length {raw_length.strip()!r}",
-                request_id,
-                requestline,
-                close=True,
-            )
-        if length > self.config.max_body_bytes:
-            return self._error_response(
-                413,
-                f"body of {length} bytes exceeds limit",
-                request_id,
-                requestline,
-                close=True,
-            )
-        try:
-            self.admission.acquire(self.config.deadline_ms / 1000.0)
-        except _Saturated as exc:
-            return self._error_response(
-                429,
-                str(exc),
-                request_id,
-                requestline,
-                retry_after_s=self.config.retry_after_s,
-            )
-        except _DeadlineExceeded as exc:
-            return self._error_response(
-                503,
-                str(exc),
-                request_id,
-                requestline,
-                retry_after_s=self.config.retry_after_s,
-            )
-        try:
-            with self.metrics.timer("server.request"):
-                return self._detect_response(
-                    path == "/v1/detect/batch", body, request_id, requestline
-                )
-        finally:
-            self.admission.release()
-
-    def saturated_response(self, headers, *, requestline: str = "") -> WireResponse:
-        """Fail-fast 429 for the event loop's saturation short-circuit —
-        the answer a dispatch-pool thread would have produced had it tried
-        (and failed) to enter the full waiting room, without the thread."""
-        request_id = (headers.get("X-Request-Id") or "").strip() or uuid.uuid4().hex[:12]
-        self.metrics.counter("server.requests").add(1)
-        if self.draining:
-            return self._error_response(
-                503,
-                "server is draining",
-                request_id,
-                requestline,
-                retry_after_s=self.config.retry_after_s,
-            )
-        return self._error_response(
-            429,
-            f"admission queue full ({self.admission.waiting} waiting)",
-            request_id,
-            requestline,
-            retry_after_s=self.config.retry_after_s,
-        )
 
     def _detect_response(
         self, batch: bool, body: bytes, request_id: str, requestline: str
@@ -425,7 +305,12 @@ class DetectionServer:
         return self._frontend.address
 
     def health(self) -> dict:
-        saturated = self.admission.waiting >= self.config.queue_depth
+        # Saturated: the next detect request would get 429 — every active
+        # slot is taken and the waiting room is full.
+        saturated = (
+            self.metrics.gauge("server.in_flight").value >= self.config.max_active
+            and self.metrics.gauge("server.queue_depth").value >= self.config.queue_depth
+        )
         calibrated = self.pipeline.is_calibrated
         payload = {
             "ready": calibrated and not self.draining and not saturated,
@@ -519,13 +404,7 @@ class DetectionServer:
         if self.config.workers <= 0 or self._pool is not None:
             return
         spec = WorkerSpec.from_pipeline(self.pipeline)
-        pool_config = WorkerPoolConfig(
-            workers=self.config.workers,
-            heartbeat_interval_s=self.config.worker_heartbeat_interval_s,
-            liveness_timeout_s=self.config.worker_liveness_timeout_s,
-            restart_backoff_base_s=self.config.worker_restart_backoff_base_s,
-            restart_backoff_max_s=self.config.worker_restart_backoff_max_s,
-        )
+        pool_config = WorkerPoolConfig(workers=self.config.workers)
         self._pool = WorkerPool(spec, pool_config, metrics=self.metrics)
         self._pool.start()
 

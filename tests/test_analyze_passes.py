@@ -243,6 +243,8 @@ def test_deprecated_import_from_wrong_module_is_flagged():
         "def trips(plan, stack):\n    return plan.round_trip_batch(stack)\n",
         "from repro.imaging.filtering import filter_batch\n\nfilter_batch\n",
         "from repro.imaging.plans import spectrum_magnitude_halves\n\nspectrum_magnitude_halves\n",
+        "from repro.serving.server import AdmissionQueue\n\nAdmissionQueue\n",
+        "def answer(server, headers):\n    return server.saturated_response(headers)\n",
     ],
 )
 def test_removed_scoring_paths_are_flagged(source):

@@ -370,7 +370,6 @@ def test_real_tree_lock_graph_is_acyclic_and_declared():
     # The serving locks the docs talk about are all modeled.
     ids = {lock["id"] for lock in graph["locks"]}
     assert "repro.serving.server.DetectionServer._shutdown_lock" in ids
-    assert "repro.serving.server.AdmissionQueue._cond" in ids
     assert "repro.serving.workers.WorkerPool._lock" in ids
 
 

@@ -17,6 +17,8 @@ import pytest
 
 from repro.testing import locksan
 
+from tests.conftest import MODEL_INPUT
+
 
 @pytest.fixture
 def san():
@@ -177,35 +179,37 @@ def test_snapshot_requires_install():
 # -- against the real serving code -------------------------------------------
 
 
-def test_admission_queue_edge_is_observed():
-    """The static model's AdmissionQueue._cond -> Gauge._lock edge shows
-    up at runtime, attributed to the real construction sites."""
+def test_shutdown_audit_edge_is_observed(tmp_path):
+    """The static model's DetectionServer._shutdown_lock -> AuditLog._io_lock
+    edge (the drain's final audit flush) shows up at runtime, attributed
+    to the real construction sites."""
     if locksan.installed():
         pytest.skip("locksan already installed session-wide")
     locksan.install()  # default filter: the real src/repro code qualifies
     try:
-        from repro.observability import Metrics
-        from repro.serving.server import AdmissionQueue
+        from repro.serving import AuditLog, DetectionServer, ProtectedPipeline, ServerConfig
 
-        queue = AdmissionQueue(2, 4, Metrics())
-        queue.acquire(deadline_s=1.0)
-        queue.release()
+        pipeline = ProtectedPipeline(
+            MODEL_INPUT, audit_log=AuditLog(tmp_path / "audit.jsonl")
+        )
+        server = DetectionServer(pipeline, ServerConfig(port=0, workers=0))
+        server.start()
+        server.shutdown()
         snap = locksan.snapshot()
     finally:
         locksan.uninstall()
 
-    sites = {lock["id"]: (lock["file"], lock["kind"]) for lock in snap["locks"]}
-    cond_ids = {
-        lock_id for lock_id, (file, kind) in sites.items()
-        if kind == "Condition" and file.endswith("serving/server.py")
+    sites = {lock["id"]: lock["file"] for lock in snap["locks"]}
+    shutdown_ids = {
+        lock_id for lock_id, file in sites.items() if file.endswith("serving/server.py")
     }
-    gauge_ids = {
-        lock_id for lock_id, (file, kind) in sites.items()
-        if file.endswith("observability.py")
+    audit_ids = {
+        lock_id for lock_id, file in sites.items() if file.endswith("serving/audit.py")
     }
-    assert cond_ids, "AdmissionQueue._cond was not registered"
+    assert shutdown_ids, "DetectionServer._shutdown_lock was not registered"
+    assert audit_ids, "AuditLog._io_lock was not registered"
     observed = {(e["from"], e["to"]) for e in snap["edges"]}
     assert any(
-        (cond, gauge) in observed for cond in cond_ids for gauge in gauge_ids
-    ), f"expected cond->gauge edge in {observed}"
+        (shutdown, audit) in observed for shutdown in shutdown_ids for audit in audit_ids
+    ), f"expected shutdown->audit edge in {observed}"
     assert snap["cycles"] == []

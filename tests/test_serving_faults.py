@@ -20,18 +20,21 @@ import socket
 import struct
 import threading
 import time
+from functools import partial
 
 import pytest
 
 from repro.errors import DetectionError
 from repro.imaging.image import as_uint8
 from repro.serving import DetectionClient, DetectionServer, ServerConfig
+from repro.serving import server as server_module
 from repro.serving.wire import encode_image_payload
-from repro.serving.workers import WorkerPool
+from repro.serving.workers import WorkerPool, WorkerPoolConfig
 
 from tests.conftest import wait_until
 from tests.fault_injection import (
     EVERY_SHARD,
+    FAST_POOL,
     Fault,
     FaultKind,
     calibrated_pipeline,
@@ -400,6 +403,16 @@ class TestEventLoopFaults:
             )
 
 
+def _fast_server_pool(monkeypatch, **overrides) -> None:
+    """Give the server's shard pool the fast test lifecycle: the server
+    builds ``WorkerPoolConfig(workers=...)`` with the class defaults."""
+    monkeypatch.setattr(
+        server_module,
+        "WorkerPoolConfig",
+        partial(WorkerPoolConfig, **{**FAST_POOL, **overrides}),
+    )
+
+
 class TestServerUnderFaults:
     def test_all_shards_down_is_a_clean_503_then_recovery(
         self, benign_images, monkeypatch
@@ -411,16 +424,8 @@ class TestServerUnderFaults:
         monkeypatch.setattr(
             WorkerPool, "shard_main", faulty_shard_main([Fault(FaultKind.KILL, 0)])
         )
-        server = DetectionServer(
-            pipeline,
-            ServerConfig(
-                port=0,
-                workers=1,
-                worker_heartbeat_interval_s=0.05,
-                worker_liveness_timeout_s=1.0,
-                worker_restart_backoff_base_s=0.05,
-            ),
-        )
+        _fast_server_pool(monkeypatch)
+        server = DetectionServer(pipeline, ServerConfig(port=0, workers=1))
         server.start()
         body = encode_image_payload(as_uint8(benign_images[0]))
         try:
@@ -453,19 +458,15 @@ class TestServerUnderFaults:
         monkeypatch.setattr(
             WorkerPool, "shard_main", faulty_shard_main([Fault(FaultKind.MUTE, 0)])
         )
-        server = DetectionServer(
-            pipeline,
-            ServerConfig(
-                port=0,
-                workers=1,
-                worker_heartbeat_interval_s=0.05,
-                worker_liveness_timeout_s=0.5,
-                # Backoff far past the test horizon: the outage stays
-                # observable instead of healing under the assertion.
-                worker_restart_backoff_base_s=60.0,
-                worker_restart_backoff_max_s=60.0,
-            ),
+        # Backoff far past the test horizon: the outage stays observable
+        # instead of healing under the assertion.
+        _fast_server_pool(
+            monkeypatch,
+            liveness_timeout_s=0.5,
+            restart_backoff_base_s=60.0,
+            restart_backoff_max_s=60.0,
         )
+        server = DetectionServer(pipeline, ServerConfig(port=0, workers=1))
         server.start()
         try:
             wait_until(

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import CodecError, ServingError
+from repro.errors import CodecError, ReproError, ServingError
 from repro.imaging.image import as_uint8
 from repro.serving import (
     AuditLog,
@@ -306,6 +306,112 @@ def _block_submissions(pipeline, gate: threading.Event, started: threading.Event
 
 
 class TestAdmissionControl:
+    @pytest.mark.parametrize("field, value", [("max_active", 0), ("queue_depth", -1)])
+    def test_invalid_limits_refused_at_construction(self, field, value):
+        with pytest.raises(ReproError, match=f"{field} must be"):
+            DetectionServer(
+                ProtectedPipeline(MODEL_INPUT), _server_config(workers=0, **{field: value})
+            )
+
+    def test_ready_at_queue_depth_zero_until_its_slot_is_held(self, benign_images):
+        """Saturated means the next detect request would get 429: every
+        active slot taken and the waiting room full. An idle server with no
+        waiting room is ready."""
+        pipeline = _make_pipeline(benign_images)
+        gate, started = threading.Event(), threading.Event()
+        _block_submissions(pipeline, gate, started)
+        server = DetectionServer(
+            pipeline, _server_config(workers=0, max_active=1, queue_depth=0)
+        )
+        server.start()
+
+        def occupy():
+            with DetectionClient(*server.address) as client:
+                client.detect(np.asarray(benign_images[0]))
+
+        occupant = threading.Thread(target=occupy)
+        try:
+            idle = server.health()
+            assert (idle["ready"], idle["queue_saturated"]) == (True, False)
+            occupant.start()
+            assert started.wait(timeout=10.0)
+            held = server.health()
+            assert (held["ready"], held["queue_saturated"]) == (False, True)
+            gate.set()
+            occupant.join(timeout=30.0)
+            assert not occupant.is_alive()
+            released = server.health()
+            assert (released["ready"], released["queue_saturated"]) == (True, False)
+        finally:
+            gate.set()
+            if occupant.is_alive():
+                occupant.join(timeout=30.0)
+            server.shutdown()
+
+    def test_waiting_requests_hold_no_thread_and_run_in_arrival_order(
+        self, benign_images, tmp_path
+    ):
+        """65 admitted requests (1 active, 64 waiting) add at most
+        ``max_active + 4`` threads, and the waiters are scored in the order
+        they arrived."""
+        log = AuditLog(tmp_path / "audit.jsonl")
+        pipeline = _make_pipeline(benign_images, audit_log=log)
+        gate, started = threading.Event(), threading.Event()
+        _block_submissions(pipeline, gate, started)
+        max_active, queue_depth = 1, 64
+        server = DetectionServer(
+            pipeline,
+            _server_config(
+                workers=0, max_active=max_active, queue_depth=queue_depth,
+                deadline_ms=30_000,
+            ),
+        )
+        server.start()
+        body = encode_image_payload(as_uint8(benign_images[0]))
+        ids = [f"wait-{index:02d}" for index in range(max_active + queue_depth)]
+        waiting = pipeline.metrics.gauge("server.queue_depth")
+        threads_before = threading.active_count()
+        socks: list[socket.socket] = []
+        try:
+            for index, request_id in enumerate(ids):
+                sock = socket.create_connection(server.address, timeout=60.0)
+                socks.append(sock)
+                sock.sendall(
+                    _request_bytes(
+                        "POST",
+                        "/v1/detect",
+                        [
+                            ("Host", "wait.test"),
+                            ("X-Request-Id", request_id),
+                            _OCTET,
+                            ("Content-Length", str(len(body))),
+                        ],
+                        body,
+                    )
+                )
+                if index < max_active:
+                    assert started.wait(timeout=10.0)
+                else:
+                    # Each arrival is queued before the next is sent, so
+                    # the arrival order is fixed.
+                    wait_until(
+                        lambda n=index: waiting.value == n,
+                        timeout_s=10.0,
+                        message=f"{request_id} to wait",
+                    )
+            assert threading.active_count() - threads_before <= max_active + 4
+            gate.set()
+            for sock in socks:
+                assert _read_response(sock).startswith(b"HTTP/1.1 200 ")
+        finally:
+            gate.set()
+            for sock in socks:
+                sock.close()
+            server.shutdown()
+        records = log.records()
+        assert [r.image_id for r in records] == ids
+        assert [r.sequence for r in records] == sorted(r.sequence for r in records)
+
     def test_saturated_queue_429_with_retry_after(self, benign_images):
         pipeline = _make_pipeline(benign_images)
         gate, started = threading.Event(), threading.Event()
@@ -373,6 +479,12 @@ class TestAdmissionControl:
                 )
             assert status == 503
             assert "gave up" in json.loads(payload)["error"]
+            # The expired waiter left the room, and the server still serves.
+            assert pipeline.metrics.gauge("server.queue_depth").value == 0
+            gate.set()
+            occupant.join(timeout=30.0)
+            with DetectionClient(*server.address, max_retries=0) as probe:
+                assert probe.detect(image).action == "accepted"
         finally:
             gate.set()
             occupant.join(timeout=30.0)
@@ -763,6 +875,45 @@ class TestFrontendParity:
         cases = ["detect-benign", "get-healthz", "bad-body-400"]
         responses = _exchange(server.address, [grid[case] for case in cases])
         assert list(map(_comparable, responses)) == list(map(_golden, cases))
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            lambda n: [f"+{n}"],
+            lambda n: [f"{str(n)[0]}_{str(n)[1:]}"],
+            lambda n: [str(n), "5"],
+        ],
+        ids=["plus-sign", "underscore", "differing-duplicates"],
+    )
+    def test_non_digit_or_conflicting_content_length_is_400(
+        self, parity_server, grid, lengths
+    ):
+        """RFC 9112 §6.3: a Content-Length that is not 1*DIGIT, or
+        duplicates that differ, make the framing unrecoverable — 400 and
+        close before any body is read, even where Python's int() would
+        parse the value (a server that does waits for the body instead)."""
+        server, _ = parity_server
+        values = lengths(len(grid["detect-benign"].partition(b"\r\n\r\n")[2]))
+        headers = [*_BASE_HEADERS, _OCTET, *(("Content-Length", v) for v in values)]
+        with socket.create_connection(server.address, timeout=10.0) as sock:
+            sock.sendall(_request_bytes("POST", "/v1/detect", headers))
+            raw = _read_response(sock)
+            assert sock.recv(1) == b""  # the server closed the stream
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        shown = ", ".join(values)
+        assert json.loads(payload)["error"] == f"invalid Content-Length {shown!r}"
+
+    def test_identical_duplicate_content_length_passes(self, parity_server, grid):
+        server, _ = parity_server
+        request = grid["detect-benign"]
+        line = next(
+            line for line in request.split(b"\r\n") if line.startswith(b"Content-Length:")
+        )
+        doubled = request.replace(line, line + b"\r\n" + line, 1)
+        raw = _exchange(server.address, [doubled])[0]
+        assert _comparable(raw) == _golden("detect-benign")
 
     def test_accounting_parity_counters_and_audit(self, parity_server, grid):
         """Known traffic leaves the golden ``server.*`` counter deltas and

@@ -105,6 +105,17 @@ DEPRECATED_NAMES: dict[str, dict] = {
         "hint": "csp_count_fast(gray) computes the spectrum of one image",
         "allowed_owners": set(),
     },
+    # The event loop is the only admission gate; it owns the waiting room
+    # and sends every refusal through DetectionServer.refuse.
+    "AdmissionQueue": {
+        "hint": "admission lives in repro.serving.eventloop.EventLoopFrontend "
+        "(ServerConfig max_active / queue_depth / deadline_ms)",
+        "allowed_owners": set(),
+    },
+    "saturated_response": {
+        "hint": "refusals go through DetectionServer.refuse(status, message, headers)",
+        "allowed_owners": set(),
+    },
 }
 
 
