@@ -25,15 +25,14 @@ hits. Hit/miss counts are tracked per intermediate name and, when a
 counters so a serving dashboard can show the shared-work savings.
 
 Numerics contract: scoring runs through the precompiled
-:mod:`repro.imaging.plans` — round trips may use the fused banded
-operators, SSIM filters through a tiled banded GEMM, and the CSP count
-comes from a real FFT. Each is parity-tested against its reference
-(:meth:`~repro.imaging.plans.ScoringPlan.round_trip_exact`,
-:func:`~repro.imaging.metrics.ssim`,
-:func:`~repro.imaging.fourier.csp_count_from_spectrum`) at ≤1e-9
-relative on MSE/SSIM, with CSP counts exactly equal. Otherwise the
-context only removes redundant validation, dtype conversion, and
-recomputation.
+:mod:`repro.imaging.plans`. Round trips are bit-identical to
+:func:`~repro.imaging.scaling.downscale_then_upscale`, so scaling MSE
+scores equal their reference exactly. SSIM filters through a tiled
+banded GEMM, within ≤1e-9 relative of :func:`~repro.imaging.metrics.ssim`,
+and the CSP count comes from a real FFT, exactly equal to
+:func:`~repro.imaging.fourier.csp_count_from_spectrum` on the test
+corpus. Otherwise the context only removes redundant validation, dtype
+conversion, and recomputation.
 """
 
 from __future__ import annotations
@@ -223,11 +222,9 @@ class ImageAnalysis:
     ) -> np.ndarray:
         """``S = up(down(I))`` through ``shape`` (paper Algorithm 1).
 
-        The compiled :class:`~repro.imaging.plans.ScoringPlan` may apply
-        the fused banded operators instead of
-        :func:`repro.imaging.scaling.downscale_then_upscale`'s four
-        matmuls (≤1e-9 relative on the derived MSE/SSIM scores; identical
-        whenever the plan's cost model picks the exact strategy).
+        Computed by the cached :class:`~repro.imaging.plans.ScoringPlan`,
+        bit-identical to
+        :func:`repro.imaging.scaling.downscale_then_upscale`.
         """
         return self.get(self.round_trip_key(shape, algorithm, upscale_algorithm))
 

@@ -11,8 +11,6 @@ Score = MSE(I, F) (attack high) or SSIM(I, F) (attack low), ``F = filter(I)``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.analysis import ImageAnalysis
 from repro.core.detector import Detector
 from repro.core.result import Direction, ThresholdRule
@@ -48,10 +46,6 @@ class FilteringDetector(Detector):
     @property
     def attack_direction(self) -> Direction:
         return Direction.GREATER if self.metric == "mse" else Direction.LESS
-
-    def filtered(self, image: np.ndarray) -> np.ndarray:
-        """The filtered image ``F`` the score is computed against."""
-        return FILTERS[self.filter_name](image, self.filter_size)
 
     def score_from(self, analysis: ImageAnalysis) -> float:
         key = ImageAnalysis.filtered_key(self.filter_name, self.filter_size)

@@ -11,13 +11,10 @@ where ``S = up(down(I))``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.analysis import ImageAnalysis
 from repro.core.detector import Detector
 from repro.core.result import Direction, ThresholdRule
 from repro.errors import DetectionError
-from repro.imaging.scaling import downscale_then_upscale
 
 __all__ = ["ScalingDetector"]
 
@@ -58,15 +55,6 @@ class ScalingDetector(Detector):
     def attack_direction(self) -> Direction:
         # MSE grows on attack images; SSIM collapses.
         return Direction.GREATER if self.metric == "mse" else Direction.LESS
-
-    def round_trip(self, image: np.ndarray) -> np.ndarray:
-        """The reconstructed image ``S`` the score is computed against."""
-        return downscale_then_upscale(
-            image,
-            self.model_input_shape,
-            self.algorithm,
-            self.upscale_algorithm,
-        )
 
     def score_from(self, analysis: ImageAnalysis) -> float:
         key = ImageAnalysis.round_trip_key(

@@ -1072,7 +1072,7 @@ def ablation_surface_sweep(data: ExperimentData, *, n_images: int = 8) -> Experi
     from repro.attacks.strong import craft_attack_image
     from repro.errors import AttackError
     from repro.imaging.metrics import mse as mse_metric
-    from repro.imaging.scaling import downscale_then_upscale, resize
+    from repro.imaging.scaling import resize
 
     h, w = data.source_shape
     n = min(n_images, data.n_calibration)
@@ -1081,6 +1081,7 @@ def ablation_surface_sweep(data: ExperimentData, *, n_images: int = 8) -> Experi
         target_shape = (h // ratio, w // ratio)
         for algorithm in ("nearest", "bilinear", "bicubic", "area"):
             report = analyze_surface(data.source_shape, target_shape, algorithm)
+            detector = ScalingDetector(target_shape, algorithm=algorithm, metric="mse")
             perturbations = []
             benign_scores = []
             attack_scores = []
@@ -1089,11 +1090,7 @@ def ablation_surface_sweep(data: ExperimentData, *, n_images: int = 8) -> Experi
                 target = resize(
                     data.calibration.attacks[(index + 1) % n], target_shape, algorithm
                 )
-                benign_scores.append(
-                    mse_metric(
-                        original, downscale_then_upscale(original, target_shape, algorithm)
-                    )
-                )
+                benign_scores.append(detector.score(original))
                 try:
                     attack = craft_attack_image(original, target, algorithm=algorithm)
                 except AttackError:
@@ -1101,12 +1098,7 @@ def ablation_surface_sweep(data: ExperimentData, *, n_images: int = 8) -> Experi
                 perturbations.append(
                     mse_metric(attack.attack_image, np.asarray(original, dtype=float))
                 )
-                attack_scores.append(
-                    mse_metric(
-                        attack.attack_image,
-                        downscale_then_upscale(attack.attack_image, target_shape, algorithm),
-                    )
-                )
+                attack_scores.append(detector.score(attack.attack_image))
             feasible = len(perturbations)
             rows.append(
                 {

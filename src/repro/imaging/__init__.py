@@ -12,8 +12,8 @@ reproduction is self-contained:
 * :mod:`repro.imaging.filtering` — order-statistic and smoothing filters
 * :mod:`repro.imaging.fourier` / :mod:`contours` — spectrum analysis
 * :mod:`repro.imaging.metrics` / :mod:`histogram` — similarity metrics
-* :mod:`repro.imaging.plans` — precompiled scoring plans: fused round-trip
-  operators and cached spectrum geometry, the one scoring path
+* :mod:`repro.imaging.plans` — precompiled scoring plans: cached round-trip
+  operators and spectrum geometry, the one scoring path
 
 Every scoring primitive works on one image. There are no stacked
 multi-image variants: a batch is a loop, so batch and single-image

@@ -6,14 +6,9 @@ spectrum (a full complex FFT plus per-call mask/grid rebuilds). This
 module precompiles both, once per configuration, and caches the results:
 
 * :class:`ScoringPlan` — per ``(src_shape, dst_shape, algorithm,
-  upscale_algorithm)``, the exact operator quadruple *and* the fused
-  round-trip pair ``(Lu@Ld, Rd@Ru)``. The 1-D coefficient matrices have
-  bounded kernel support, so the fused products stay narrow-banded and
-  are stored in CSR-style band form (per-row data + offsets). A
-  deterministic compile-time cost model picks the cheaper application
-  strategy from the shapes — fused banded contraction or the exact
-  stacked matmuls — so two processes given the same key always produce
-  the same floats.
+  upscale_algorithm)``, the operator quadruple ``(Ld, Rd, Lu, Ru)`` of
+  the round trip ``S = Lu @ (Ld @ I @ Rd) @ Ru``, applied as four
+  matmuls with all channels stacked into one batched GEMM per step.
 * :class:`SpectrumGeometry` — per ``(h, w, lowpass_radius_fraction)``,
   everything the CSP metric would otherwise rederive per call: the
   radial low-pass mask, the radial-distance grid, the Hermitian index
@@ -30,15 +25,15 @@ through ``pipeline.stats`` and ``/metrics``.
 
 Numerics contract
 -----------------
-This is the only scoring path. It is parity-tested against the
-references kept beside it — :meth:`ScoringPlan.round_trip_exact`,
-:func:`repro.imaging.metrics.ssim` and
-:func:`repro.imaging.fourier.csp_count_from_spectrum` — at ≤1e-9
-relative on MSE/SSIM, with CSP counts exactly equal on the test corpus.
-The differences come only from summation order (banded contraction,
-``rfft2`` magnitudes, the tiled banded GEMM of
-:func:`~repro.imaging.metrics.ssim_fast`); round-trip differences are zero
-whenever the cost model selects the exact strategy.
+This is the only scoring path. Round trips, and so the scaling
+detector's MSE, are bit-identical to
+:func:`repro.imaging.scaling.downscale_then_upscale`. The other fast
+paths are parity-tested against the references kept beside them —
+:func:`repro.imaging.metrics.ssim` at ≤1e-9 relative, and
+:func:`repro.imaging.fourier.csp_count_from_spectrum` with CSP counts
+exactly equal on the test corpus. The SSIM difference comes only from
+summation order in the tiled banded GEMM of
+:func:`~repro.imaging.metrics.ssim_fast`.
 """
 
 from __future__ import annotations
@@ -136,58 +131,15 @@ class PlanCache:
             self._misses = 0
 
 
-# -- fused round-trip operators ---------------------------------------------
-
-#: Empirical slowdown of a banded gather+einsum contraction relative to a
-#: dense GEMM multiply-add, used by the compile-time strategy choice. The
-#: model must stay deterministic (no runtime timing): cached experiment
-#: rows are required to be byte-identical across runs and hosts.
-_FUSED_OVERHEAD = 6
-
-
-def _band_form(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-style band storage ``(data, offsets)`` of a narrow-banded matrix.
-
-    Row ``i`` of *matrix* equals ``data[i]`` scattered at columns
-    ``offsets[i] .. offsets[i] + width - 1`` (one shared width, the max
-    per-row nonzero span; offsets are clamped so the window stays in
-    bounds and padded positions hold exact zeros).
-    """
-    n_out, n_in = matrix.shape
-    nonzero = matrix != 0.0
-    has = nonzero.any(axis=1)
-    first = np.where(has, nonzero.argmax(axis=1), 0)
-    last = np.where(has, n_in - 1 - nonzero[:, ::-1].argmax(axis=1), 0)
-    width = max(int((last - first + 1).max()), 1)
-    offsets = np.minimum(first, n_in - width).astype(np.int64)
-    columns = offsets[:, None] + np.arange(width)
-    data = np.take_along_axis(matrix, columns, axis=1)
-    return np.ascontiguousarray(data), offsets
-
-
-def _apply_band_rows(data: np.ndarray, offsets: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` over the last two axes, with ``A`` in band form."""
-    width = data.shape[1]
-    columns = offsets[:, None] + np.arange(width)
-    return np.einsum("ib,...ibw->...iw", data, x[..., columns, :])
-
-
-def _apply_band_cols(data: np.ndarray, offsets: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``x @ B`` over the last two axes, with ``B.T`` in band form."""
-    width = data.shape[1]
-    columns = offsets[:, None] + np.arange(width)
-    return np.einsum("...jb,jb->...j", x[..., columns], data)
+# -- round-trip plans -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ScoringPlan:
     """Compiled round-trip operators for one scaling configuration.
 
-    Holds the exact operator quadruple (shared, read-only arrays from the
-    coefficient cache) plus — when the cost model selects it — the fused
-    pair ``row_op = Lu @ Ld`` and ``col_op = Rd @ Ru`` in band form.
-    :meth:`round_trip` applies the chosen strategy; :meth:`round_trip_exact`
-    is always the bit-for-bit stacked-matmul path.
+    Holds the operator quadruple (shared, read-only arrays from the
+    coefficient cache); :meth:`round_trip` applies it as four matmuls.
     """
 
     src_shape: tuple[int, int]
@@ -198,57 +150,26 @@ class ScoringPlan:
     right_down: np.ndarray = field(repr=False)
     left_up: np.ndarray = field(repr=False)
     right_up: np.ndarray = field(repr=False)
-    fused: bool
-    row_band: np.ndarray | None = field(repr=False)
-    row_offsets: np.ndarray | None = field(repr=False)
-    col_band: np.ndarray | None = field(repr=False)
-    col_offsets: np.ndarray | None = field(repr=False)
-
-    def _round_trip_stacked(self, planes: np.ndarray) -> np.ndarray:
-        """Exact 4-matmul round trip over ``(..., H, W)`` stacked planes."""
-        down = np.matmul(np.matmul(self.left_down, planes), self.right_down)
-        return np.matmul(np.matmul(self.left_up, down), self.right_up)
-
-    def _round_trip_fused(self, planes: np.ndarray) -> np.ndarray:
-        rows = _apply_band_rows(self.row_band, self.row_offsets, planes)
-        return _apply_band_cols(self.col_band, self.col_offsets, rows)
-
-    def round_trip_exact(self, float_image: np.ndarray) -> np.ndarray:
-        """``up(down(I))`` — the reference :meth:`round_trip` is tested against.
-
-        Bit-identical to :func:`repro.imaging.scaling.downscale_then_upscale`:
-        the same operators in the same multiplication order, one GEMM per
-        2-D slice.
-        """
-        if float_image.ndim == 2:
-            return self._round_trip_stacked(float_image)
-        planes = np.ascontiguousarray(float_image.transpose(2, 0, 1))
-        return np.ascontiguousarray(self._round_trip_stacked(planes).transpose(1, 2, 0))
 
     def round_trip(self, float_image: np.ndarray) -> np.ndarray:
-        """``up(down(I))`` via the compiled strategy."""
-        if not self.fused:
-            return self.round_trip_exact(float_image)
+        """``up(down(I))``, bit-identical to
+        :func:`repro.imaging.scaling.downscale_then_upscale`: the same
+        operators in the same multiplication order, one GEMM per 2-D slice.
+        """
+        planes = float_image
+        if float_image.ndim == 3:
+            planes = np.ascontiguousarray(float_image.transpose(2, 0, 1))
+        down = np.matmul(np.matmul(self.left_down, planes), self.right_down)
+        up = np.matmul(np.matmul(self.left_up, down), self.right_up)
         if float_image.ndim == 2:
-            return self._round_trip_fused(float_image)
-        planes = np.ascontiguousarray(float_image.transpose(2, 0, 1))
-        return np.ascontiguousarray(self._round_trip_fused(planes).transpose(1, 2, 0))
+            return up
+        return np.ascontiguousarray(up.transpose(1, 2, 0))
 
 
 def _build_scoring_plan(key: tuple) -> ScoringPlan:
     src_shape, dst_shape, algorithm, upscale_algorithm = key
     left_down, right_down = scaling_operators(src_shape, dst_shape, algorithm)
     left_up, right_up = scaling_operators(dst_shape, src_shape, upscale_algorithm)
-    row_op = left_up @ left_down
-    col_op = right_down @ right_up
-    row_band, row_offsets = _band_form(row_op)
-    col_band, col_offsets = _band_form(np.ascontiguousarray(col_op.T))
-    (h, w), (dh, dw) = src_shape, dst_shape
-    exact_madds = dh * h * w + dh * w * dw + h * dh * dw + h * dw * w
-    fused_madds = _FUSED_OVERHEAD * h * w * (row_band.shape[1] + col_band.shape[1])
-    fused = fused_madds < exact_madds
-    for array in (row_band, row_offsets, col_band, col_offsets):
-        array.setflags(write=False)
     return ScoringPlan(
         src_shape=src_shape,
         dst_shape=dst_shape,
@@ -258,11 +179,6 @@ def _build_scoring_plan(key: tuple) -> ScoringPlan:
         right_down=right_down,
         left_up=left_up,
         right_up=right_up,
-        fused=fused,
-        row_band=row_band if fused else None,
-        row_offsets=row_offsets if fused else None,
-        col_band=col_band if fused else None,
-        col_offsets=col_offsets if fused else None,
     )
 
 

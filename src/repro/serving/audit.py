@@ -9,6 +9,7 @@ log. Both pieces are plain files; no services, no databases.
 from __future__ import annotations
 
 import json
+import secrets
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -17,9 +18,23 @@ import numpy as np
 
 from repro.core.result import EnsembleDetection
 from repro.errors import ReproError
-from repro.imaging.png import write_png
+from repro.imaging.png import encode_png, write_png
 
 __all__ = ["AuditRecord", "AuditLog", "decision_fields"]
+
+#: Longest quarantine file stem taken from an image id, in UTF-8 bytes.
+#: With a collision suffix and a ``.<artifact label>.png`` suffix it stays
+#: well under the 255-byte file-name limit of common file systems.
+_MAX_STEM_BYTES = 128
+
+
+def _safe_name(text: str) -> str:
+    """*text* with every character outside ``[alnum-_]`` replaced by ``_``.
+
+    Strict allowlist: no dots, so identifiers like "../../x" cannot
+    produce traversal-looking names.
+    """
+    return "".join(c if c.isalnum() or c in "-_" else "_" for c in text)
 
 
 def decision_fields(detection: EnsembleDetection) -> dict:
@@ -141,25 +156,36 @@ class AuditLog:
     ) -> str:
         """Persist a flagged image; returns the stored path.
 
+        The file is ``<id>.png`` with the id sanitized and cut to
+        :data:`_MAX_STEM_BYTES`. The name is claimed exclusively: when it
+        is taken (a retried id, two ids that sanitize alike, or another
+        shard writing to the same directory), a short random suffix is
+        added, so no request overwrites another's file.
+
         *artifacts* are labeled explanation images (the detectors' round
         trip, filtered image, log spectrum — whatever scoring already
         computed), written next to the quarantined input as
-        ``<id>.<label>.png`` so an analyst sees *what the detectors saw*
+        ``<stem>.<label>.png`` so an analyst sees *what the detectors saw*
         without re-running them.
         """
         if self.quarantine_dir is None:
             raise ReproError("AuditLog was created without a quarantine directory")
-        # Strict allowlist: no dots, so identifiers like "../../x" cannot
-        # produce traversal-looking names.
-        safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in image_id)
-        path = self.quarantine_dir / f"{safe}.png"
-        write_png(path, np.clip(image, 0, 255))
+        safe = _safe_name(image_id).encode()[:_MAX_STEM_BYTES].decode(errors="ignore")
+        encoded = encode_png(np.clip(image, 0, 255))
+        stem = safe
+        while True:
+            path = self.quarantine_dir / f"{stem}.png"
+            try:
+                with open(path, "xb") as handle:
+                    handle.write(encoded)
+                break
+            except FileExistsError:
+                # Random, not counted: a retried id costs one more try,
+                # not a scan past every earlier copy.
+                stem = f"{safe}-{secrets.token_hex(4)}"
         for label, artifact in (artifacts or {}).items():
-            safe_label = "".join(
-                c if c.isalnum() or c in "-_" else "_" for c in label
-            )
             write_png(
-                self.quarantine_dir / f"{safe}.{safe_label}.png",
+                self.quarantine_dir / f"{stem}.{_safe_name(label)}.png",
                 np.clip(artifact, 0, 255),
             )
         return str(path)

@@ -241,6 +241,7 @@ def test_deprecated_import_from_wrong_module_is_flagged():
         "def path_of(log, image_id):\n    return log.pop_quarantine_path(image_id)\n",
         "def scores(detector, images):\n    return detector.score_batch(images)\n",
         "def trips(plan, stack):\n    return plan.round_trip_batch(stack)\n",
+        "def trip(plan, image):\n    return plan.round_trip_exact(image)\n",
         "from repro.imaging.filtering import filter_batch\n\nfilter_batch\n",
         "from repro.imaging.plans import spectrum_magnitude_halves\n\nspectrum_magnitude_halves\n",
         "from repro.serving.server import AdmissionQueue\n\nAdmissionQueue\n",

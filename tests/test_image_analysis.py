@@ -118,7 +118,8 @@ class TestMemoization:
 
 class TestExactParity:
     """score_from == score exactly; both match the imaging primitives
-    (CSP exactly, MSE/SSIM within the documented 1e-9 relative band)."""
+    (CSP and scaling MSE exactly, SSIM within the documented 1e-9
+    relative band)."""
 
     @pytest.mark.parametrize("detector", _detector_grid(), ids=lambda d: f"{d.method}-{d.metric}-{getattr(d, 'algorithm', getattr(d, 'filter_name', ''))}")
     @pytest.mark.parametrize("kind", ["benign", "attack"])
@@ -133,9 +134,7 @@ class TestExactParity:
             mse_detector = ScalingDetector(MODEL_INPUT, metric="mse", threshold=_GREATER)
             ssim_detector = ScalingDetector(MODEL_INPUT, metric="ssim", threshold=_LESS)
             planned = ImageAnalysis(image)
-            assert mse_detector.score_from(planned) == pytest.approx(
-                mse(image, reconstructed), rel=1e-9
-            )
+            assert mse_detector.score_from(planned) == mse(image, reconstructed)
             assert ssim_detector.score_from(planned) == pytest.approx(
                 ssim(image, reconstructed), rel=1e-9
             )

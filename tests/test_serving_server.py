@@ -28,6 +28,7 @@ import pytest
 
 from repro.errors import CodecError, ReproError, ServingError
 from repro.imaging.image import as_uint8
+from repro.imaging.png import read_png
 from repro.serving import (
     AuditLog,
     DetectionClient,
@@ -252,6 +253,45 @@ class TestAuditParityAcrossWorkerCounts:
         ]
         assert stored_there == stored_here
         assert {"one-attack.png", "mixed-00001.png"} <= stored_here
+
+
+class TestQuarantineNames:
+    def test_long_and_colliding_ids_each_keep_their_own_file(
+        self, benign_images, attack_images, tmp_path
+    ):
+        """The client's ``X-Request-Id`` names the quarantine file. A
+        300-byte id is still quarantined and audited, and two ids that
+        sanitize to the same name leave two files, each record's path
+        holding the image that record scored."""
+        log = AuditLog(tmp_path / "audit.jsonl", quarantine_dir=tmp_path / "q")
+        pipeline = _make_pipeline(
+            benign_images, policy=Policy.QUARANTINE, audit_log=log
+        )
+        server = DetectionServer(pipeline, _server_config())
+        server.start()
+        sent = {
+            "x" * 300: as_uint8(attack_images[0]),
+            "a.b": as_uint8(attack_images[1]),
+            "a_b": as_uint8(attack_images[2]),
+        }
+        try:
+            with DetectionClient(*server.address) as client:
+                client.wait_ready(timeout_s=120.0 if SERVER_WORKERS else 10.0)
+                for request_id, image in sent.items():
+                    verdict = client.detect(image, request_id=request_id)
+                    assert verdict.action == "quarantined", request_id[:16]
+        finally:
+            server.shutdown()
+        records = log.records()
+        assert [record.image_id for record in records] == list(sent)
+        paths = [Path(record.quarantine_path) for record in records]
+        assert len(set(paths)) == len(sent)
+        assert paths[1].name == "a_b.png"
+        stored = {path.name for path in (tmp_path / "q").iterdir()}
+        for record, path in zip(records, paths):
+            assert path.parent == tmp_path / "q"
+            assert np.array_equal(read_png(path), sent[record.image_id])
+            assert any(name.startswith(f"{path.stem}.") for name in stored)
 
 
 class TestHealth:

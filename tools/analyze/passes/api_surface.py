@@ -48,12 +48,12 @@ DEPRECATED_NAMES: dict[str, dict] = {
     # point-list labeler were removed: plans are the one scoring path.
     "set_exact_mode": {
         "hint": "there is one scoring path; compare against the references "
-        "(ScoringPlan.round_trip_exact, ssim, csp_count_from_spectrum) directly",
+        "(downscale_then_upscale, ssim, csp_count_from_spectrum) directly",
         "allowed_owners": set(),
     },
     "exact_mode": {
         "hint": "there is one scoring path; compare against the references "
-        "(ScoringPlan.round_trip_exact, ssim, csp_count_from_spectrum) directly",
+        "(downscale_then_upscale, ssim, csp_count_from_spectrum) directly",
         "allowed_owners": set(),
     },
     "scoring_mode": {
@@ -73,6 +73,13 @@ DEPRECATED_NAMES: dict[str, dict] = {
     "region_stats_from_points": {
         "hint": "csp_count_fast labels with scipy.ndimage; dense masks use "
         "label_runs + region_stats_from_runs",
+        "allowed_owners": set(),
+    },
+    # The fused banded round trip was removed, so the plan's round trip
+    # is the exact one.
+    "round_trip_exact": {
+        "hint": "ScoringPlan.round_trip is bit-identical to "
+        "downscale_then_upscale; call either",
         "allowed_owners": set(),
     },
     # Sharded and in-process serving account through one step: the
