@@ -523,7 +523,14 @@ class EventLoopFrontend:
                 method, path, headers, body, requestline=requestline
             )
         except Exception as exc:  # the loop must survive a core bug
-            body_bytes = json.dumps({"error": f"internal error: {exc}"}).encode("utf-8")
+            # The text can name server paths: stderr gets it, the body not.
+            print(
+                f'"{requestline}" 500 internal error '
+                f"[{headers.get('X-Request-Id') or '-'}] {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+                flush=True,
+            )
+            body_bytes = json.dumps({"error": "internal error"}).encode("utf-8")
             response = _InternalErrorResponse(body_bytes)
         self._enqueue_response(conn, response, detect=detect)
 

@@ -215,7 +215,9 @@ class DetectionServer:
         except (CodecError, ImageError) as exc:
             return self._error_response(400, str(exc), request_id, requestline)
         except DetectionError as exc:
-            return self._error_response(503, str(exc), request_id, requestline)
+            return self._server_error(503, "scoring unavailable", exc, request_id, requestline)
+        except Exception as exc:  # answered 500; the text goes to stderr only
+            return self._server_error(500, "internal error", exc, request_id, requestline)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         for verdict in verdicts:
             verdict["latency_ms"] = elapsed_ms
@@ -271,6 +273,27 @@ class DetectionServer:
             {"error": message, "request_id": request_id},
             request_id=request_id,
             **kwargs,
+        )
+
+    def _server_error(
+        self,
+        status: int,
+        reason: str,
+        exc: Exception,
+        request_id: str,
+        requestline: str,
+    ) -> WireResponse:
+        """A 5xx answer. The body carries a fixed *reason* and the request
+        id; the exception's type and text, which can name server paths, go
+        only to one stderr line keyed by the request id."""
+        print(
+            f'"{requestline}" {status} {reason} [{request_id}] '
+            f"{type(exc).__name__}: {exc}",
+            file=sys.stderr,
+            flush=True,
+        )
+        return self._json_response(
+            status, {"error": reason, "request_id": request_id}, request_id=request_id
         )
 
     def _log(self, line: str) -> None:

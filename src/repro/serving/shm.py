@@ -1,11 +1,13 @@
-"""Shared-memory slot rings: the zero-copy dispatcher ↔ shard transport.
+"""Shared-memory slot rings, kept only for the serving benchmark.
 
-A frame written into a ``multiprocessing`` pipe is copied twice (user →
-kernel → user) while the writer holds the GIL. The shard pool
-(:mod:`repro.serving.workers`) keeps its pipe as a tiny **doorbell +
-control** channel and moves the payload bytes through a
-:class:`multiprocessing.shared_memory.SharedMemory` segment organised as
-a fixed-slot ring:
+The shard pool (:mod:`repro.serving.workers`) sends every frame whole
+over its pipe and no longer uses this module. ``benchmarks/perf`` still
+times :meth:`ShmRing.put` + :meth:`ShmRing.get` of a job frame as its
+``serving.shm.put_get`` microbench, so the ring stays until that
+benchmark changes.
+
+A :class:`multiprocessing.shared_memory.SharedMemory` segment organised
+as a fixed-slot ring:
 
 * the segment starts with a 12-byte ring header (magic, version, slot
   count, slot size) so an attach can never mis-parse a stranger's segment;
@@ -13,22 +15,15 @@ a fixed-slot ring:
   length, CRC-32) followed by ``slot_bytes`` of payload room;
 * a writer claims a FREE slot (state → WRITING), copies the payload,
   stamps length + CRC, and only then publishes it (state → READY);
-* the reader is handed the slot index out-of-band (a **slot ref** frame
-  over the pipe), validates state/magic/length/CRC, copies the payload
-  out, and retires the slot (state → FREE).
+* the reader is handed the slot index out of band, validates
+  state/magic/length/CRC, copies the payload out, and retires the slot
+  (state → FREE).
 
 The publish step is a single byte store, so a writer SIGKILLed mid-copy
 leaves the slot in WRITING — never READY with torn bytes. A reader that
 is handed a slot in any state but READY, or whose CRC disagrees, raises
-:class:`~repro.errors.CodecError` exactly like a corrupt pipe frame, and
-the dispatcher's existing garbage-frame → recycle → requeue-once path
-takes over. Rings are created fresh for every shard incarnation and
-unlinked when it dies, so no corruption survives a crash.
-
-Backpressure is explicit: :meth:`ShmRing.put` raises :class:`RingFull`
-when every slot is occupied and the caller falls back to sending that one
-frame inline over the pipe — the ring accelerates the common case, it is
-never allowed to wedge the protocol.
+:class:`~repro.errors.CodecError`. :meth:`ShmRing.put` raises
+:class:`RingFull` when every slot is occupied.
 """
 
 from __future__ import annotations
@@ -46,8 +41,6 @@ __all__ = [
     "SLOT_READY",
     "SLOT_WRITING",
     "ShmRing",
-    "decode_slot_ref",
-    "encode_slot_ref",
 ]
 
 #: Segment header: magic, version, slot count, slot payload capacity.
@@ -65,25 +58,9 @@ SLOT_FREE = 0
 SLOT_WRITING = 1
 SLOT_READY = 2
 
-#: Slot ref payload carried over the pipe: slot index + payload length.
-_SLOT_REF = struct.Struct(">II")
-
 
 class RingFull(RuntimeError):
-    """Every slot is occupied; send this frame over the pipe instead."""
-
-
-def encode_slot_ref(slot: int, length: int) -> bytes:
-    """Pack a (slot, payload length) pointer for the pipe doorbell."""
-    return _SLOT_REF.pack(slot, length)
-
-
-def decode_slot_ref(data: bytes, *, origin: str = "<slot-ref>") -> tuple[int, int]:
-    """Unpack a slot ref; anything but exactly 8 bytes is a codec error."""
-    if len(data) != _SLOT_REF.size:
-        raise CodecError(f"{origin}: slot ref is {len(data)} bytes, need {_SLOT_REF.size}")
-    slot, length = _SLOT_REF.unpack(data)
-    return slot, length
+    """Every slot is occupied."""
 
 
 class ShmRing:
@@ -91,7 +68,7 @@ class ShmRing:
 
     The creating side owns the segment (and must eventually
     :meth:`unlink`); the attaching side only maps it. ``put`` is
-    thread-safe (the dispatcher writes from its dispatch threads); ``get``
+    thread-safe; ``get``
     consumes a specific slot index delivered out-of-band, so concurrent
     readers never contend for the same slot by construction.
     """
@@ -171,7 +148,7 @@ class ShmRing:
 
     @property
     def slot_bytes(self) -> int:
-        """Payload capacity of one slot; larger frames take the pipe."""
+        """Payload capacity of one slot."""
         return self._slot_bytes
 
     def close(self) -> None:
@@ -198,18 +175,15 @@ class ShmRing:
     def put(self, frame: bytes) -> int:
         """Publish *frame* into a FREE slot; returns the slot index.
 
-        Raises :class:`RingFull` when no slot is FREE (caller falls back
-        to the pipe) and :class:`ValueError` when the frame cannot fit in
-        any slot (callers are expected to size-check first).
+        Raises :class:`RingFull` when no slot is FREE and
+        :class:`ValueError` when the frame cannot fit in any slot.
         """
         if len(frame) > self._slot_bytes:
             raise ValueError(
                 f"frame of {len(frame)} bytes exceeds slot capacity {self._slot_bytes}"
             )
         if self._closed:
-            # A concurrent teardown (shard died) is ordinary backpressure
-            # to callers: they fall back to the pipe and the down-path
-            # handles the incarnation.
+            # A concurrent teardown is ordinary backpressure to callers.
             raise RingFull("ring torn down")
         try:
             buf = self._shm.buf

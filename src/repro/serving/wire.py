@@ -111,14 +111,10 @@ def unpack_batch(data: bytes, *, origin: str = "<body>") -> list[bytes]:
     return payloads
 
 
-#: Job kinds a dispatcher may send to a worker shard. ``"slot"`` is the
-#: shared-memory indirection: its single payload is a slot ref
-#: (:func:`repro.serving.shm.encode_slot_ref`) naming the ring slot that
-#: holds the real job frame.
-JOB_KINDS = ("single", "batch", "stop", "slot")
-#: Result kinds a worker shard may send back; ``"slot"`` mirrors the job
-#: side — the body is a slot ref into the shard's result ring.
-RESULT_KINDS = ("ok", "err", "hb", "slot")
+#: Job kinds a dispatcher may send to a worker shard.
+JOB_KINDS = ("single", "batch", "stop")
+#: Result kinds a worker shard may send back.
+RESULT_KINDS = ("ok", "err", "hb")
 
 
 def _decode_field(raw: bytes, *, origin: str, what: str) -> str:

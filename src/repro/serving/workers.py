@@ -22,10 +22,10 @@ dispatch threads become thin dispatchers speaking the
 * :class:`Shard` — the shard process: run jobs, reply; send a heartbeat
   whenever idle for one interval.
 
-Frames travel through two per-shard :class:`~repro.serving.shm.ShmRing`
-segments (one per direction); the pipe carries 8-byte slot refs,
-heartbeats, and control. A frame larger than one slot, or one that finds
-its ring full, rides the pipe whole instead — the per-frame fallback.
+Every frame rides the shard's ``multiprocessing`` pipe whole: jobs, stop
+frames, results and heartbeats alike. A shard killed part-way through a
+frame leaves the dispatcher an end of file, and the jobs it held are
+requeued once.
 
 Division of labour: shards screen and write quarantine artifacts (they
 hold the memoized analysis intermediates) and never record; the
@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import pickle
+import select
 import threading
 import time
 from dataclasses import dataclass
@@ -55,7 +56,6 @@ from repro.observability import Metrics
 from repro.serving.audit import AuditLog
 from repro.serving.pipeline import ProtectedPipeline, batch_image_ids, verdict_payload
 from repro.serving.policy import Policy
-from repro.serving.shm import RingFull, ShmRing, decode_slot_ref, encode_slot_ref
 from repro.serving.wire import (
     decode_image_payload,
     pack_job,
@@ -196,10 +196,7 @@ class Shard:
     """One shard process: score jobs, heartbeat when idle, exit on stop.
 
     :meth:`run` is the loop; :meth:`heartbeat`, :meth:`score` and
-    :meth:`reply` are its three steps, each overridable on its own. Job
-    frames arrive as slot refs into the job ring (or whole over the pipe);
-    replies leave through the result ring (or whole over the pipe when
-    they outgrow a slot or find the ring full).
+    :meth:`reply` are its three steps, each overridable on its own.
     """
 
     def __init__(
@@ -209,8 +206,6 @@ class Shard:
         worker_id: int,
         restarts: int,
         heartbeat_interval_s: float,
-        job_ring_name: str,
-        result_ring_name: str,
     ) -> None:
         self.conn = conn
         self.worker_id = worker_id
@@ -223,8 +218,6 @@ class Shard:
         self.errors = 0
         spec.prewarm_caches()
         self.pipeline = spec.build_pipeline()
-        self.job_ring = ShmRing.attach(job_ring_name)
-        self.result_ring = ShmRing.attach(result_ring_name)
 
     @classmethod
     def main(cls, *args) -> None:
@@ -234,40 +227,24 @@ class Shard:
 
     def run(self) -> None:
         """Serve jobs until a stop frame arrives or the dispatcher is gone."""
-        try:
-            while True:
-                if not self.conn.poll(self.heartbeat_interval_s):
-                    if not self.heartbeat():
-                        return
-                    continue
-                try:
-                    frame = self.conn.recv_bytes()
-                except (EOFError, OSError):
+        while True:
+            if not self.conn.poll(self.heartbeat_interval_s):
+                if not self.heartbeat():
                     return
-                try:
-                    kind, job_id, request_id, payloads = self._read_job(frame)
-                except CodecError:
-                    self.errors += 1
-                    continue  # dispatcher bug; the job times out and fails over
-                if kind == "stop":
-                    return
-                if not self.reply(job_id, self.score(kind, job_id, request_id, payloads)):
-                    return
-        finally:
-            self.job_ring.close()
-            self.result_ring.close()
-
-    def _read_job(self, frame: bytes) -> tuple[str, str, str, list[bytes]]:
-        kind, job_id, request_id, payloads = unpack_job(frame, origin=self.origin)
-        if kind != "slot":
-            return kind, job_id, request_id, payloads
-        if len(payloads) != 1:
-            raise CodecError(f"{self.origin}: stray slot ref")
-        slot, length = decode_slot_ref(payloads[0])
-        inner = self.job_ring.get(slot, origin=self.origin)
-        if len(inner) != length:
-            raise CodecError(f"{self.origin}: slot {slot} length mismatch")
-        return unpack_job(inner, origin=self.origin)
+                continue
+            try:
+                frame = self.conn.recv_bytes()
+            except (EOFError, OSError):
+                return
+            try:
+                kind, job_id, request_id, payloads = unpack_job(frame, origin=self.origin)
+            except CodecError:
+                self.errors += 1
+                continue  # dispatcher bug; the job times out and fails over
+            if kind == "stop":
+                return
+            if not self.reply(self.score(kind, job_id, request_id, payloads)):
+                return
 
     def heartbeat(self) -> bool:
         """Report this shard's stats; False once the dispatcher is gone."""
@@ -294,14 +271,8 @@ class Shard:
         self.submitted += len(reply["verdicts"])
         return pack_result("ok", job_id, json.dumps(reply).encode("utf-8"))
 
-    def reply(self, job_id: str, frame: bytes) -> bool:
+    def reply(self, frame: bytes) -> bool:
         """Deliver one result frame; False once the dispatcher is gone."""
-        if len(frame) <= self.result_ring.slot_bytes:
-            try:
-                slot = self.result_ring.put(frame)
-                frame = pack_result("slot", job_id, encode_slot_ref(slot, len(frame)))
-            except RingFull:
-                pass  # per-frame fallback: the full reply rides the pipe
         return self.send(frame)
 
     def send(self, frame: bytes) -> bool:
@@ -338,11 +309,6 @@ class WorkerPoolConfig:
     startup_grace_s: float = 60.0
     #: How long shutdown waits for shards to drain before killing them.
     drain_timeout_s: float = 10.0
-    #: Slots per ring direction; bounds how many frames can be in flight
-    #: through shared memory to one shard at once.
-    ring_slots: int = 8
-    #: Payload capacity of one slot (bytes); bigger frames take the pipe.
-    ring_slot_bytes: int = 1 << 20
 
 
 # -- parent-side bookkeeping -------------------------------------------------
@@ -392,9 +358,6 @@ class _WorkerHandle:
         "worker_id",
         "process",
         "conn",
-        "job_ring",
-        "result_ring",
-        "rings_open",
         "send_lock",
         "up",
         "ready",
@@ -408,19 +371,10 @@ class _WorkerHandle:
         "snapshot",
     )
 
-    def __init__(
-        self, worker_id, process, conn, restarts, consecutive, job_ring, result_ring
-    ) -> None:
+    def __init__(self, worker_id, process, conn, restarts, consecutive) -> None:
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
-        #: shm rings for this incarnation (dispatcher→shard / shard→
-        #: dispatcher). Created fresh per spawn and destroyed with the
-        #: incarnation, so no slot state survives a crash.
-        self.job_ring: ShmRing = job_ring
-        self.result_ring: ShmRing = result_ring
-        #: cleared by the one caller that tears the rings down
-        self.rings_open = True
         self.send_lock = threading.Lock()
         self.up = True
         self.ready = False
@@ -435,9 +389,13 @@ class _WorkerHandle:
         self.snapshot: dict = {}
 
 
+_STOP_FRAME = pack_job("stop", "-", "-", [])
+
+
 def _error_from_wire(body: bytes) -> Exception:
     """Rebuild a shard-reported exception so HTTP status mapping matches
-    the in-process path (CodecError/ImageError -> 400, rest -> 503)."""
+    the in-process path: CodecError/ImageError -> 400, DetectionError ->
+    503, and any other type -> 500, as if it had been raised here."""
     try:
         descriptor = json.loads(body.decode("utf-8"))
         kind = str(descriptor.get("type", ""))
@@ -449,7 +407,9 @@ def _error_from_wire(body: bytes) -> Exception:
         "ImageError": ImageError,
         "DetectionError": DetectionError,
     }
-    return types.get(kind, DetectionError)(message)
+    if kind in types:
+        return types[kind](message)
+    return RuntimeError(f"shard raised {kind or 'an unknown error'}: {message}")
 
 
 class WorkerPool:
@@ -462,8 +422,8 @@ class WorkerPool:
     """
 
     #: Spawn target of every shard process, called in the child as
-    #: ``shard_main(conn, spec, worker_id, restarts, heartbeat_interval_s,
-    #: job_ring_name, result_ring_name)``. It crosses the spawn boundary by
+    #: ``shard_main(conn, spec, worker_id, restarts, heartbeat_interval_s)``.
+    #: It crosses the spawn boundary by
     #: pickle, so it must be importable by reference (a module-level
     #: function, a classmethod, or a ``functools.partial`` of one).
     shard_main = Shard.main
@@ -517,26 +477,19 @@ class WorkerPool:
             self._closed = True
             handles = list(self._workers.values())
         self._wake.set()
-        stop_frame = pack_job("stop", "-", "-", [])
-        for handle in handles:
-            if not handle.up:
-                continue
-            try:
-                with handle.send_lock:
-                    handle.conn.send_bytes(stop_frame)
-            except (OSError, ValueError):
-                pass  # already dead; join/kill below handles it
         deadline = time.monotonic() + self.config.drain_timeout_s
+        for handle in handles:
+            if handle.up and not self._send_stop(handle, deadline):
+                # A dispatch thread is blocked writing a frame this shard
+                # is too busy to read: killing the shard fails that send
+                # with EPIPE, and the down-path answers its jobs.
+                handle.process.kill()
         for handle in handles:
             handle.process.join(max(0.0, deadline - time.monotonic()))
             if handle.process.is_alive():
                 handle.process.kill()
                 handle.process.join(1.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass  # receiver already closed it
-            self._destroy_rings(handle)
+            self._close_pipe(handle)
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=2.0)
         with self._lock:
@@ -545,6 +498,41 @@ class WorkerPool:
         for job in leftover:
             job.error = DetectionError("worker pool shut down mid-request")
             job.done.set()
+
+    @staticmethod
+    def _send_stop(handle: _WorkerHandle, deadline: float) -> bool:
+        """Send one shard its stop frame; False when the send lock or room
+        in the pipe cannot be had before *deadline*."""
+        if not handle.send_lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
+            return False
+        try:
+            # Writable means the socket buffer has room for the tiny stop
+            # frame, so the send below cannot block on a busy shard.
+            _, writable, _ = select.select(
+                [], [handle.conn], [], max(0.0, deadline - time.monotonic())
+            )
+            if not writable:
+                return False
+            handle.conn.send_bytes(_STOP_FRAME)
+        except (OSError, ValueError):
+            pass  # already dead; join/kill in shutdown handles it
+        finally:
+            handle.send_lock.release()
+        return True
+
+    @staticmethod
+    def _close_pipe(handle: _WorkerHandle) -> None:
+        """Close the dispatcher's end of a shard's pipe between sends.
+
+        Closing under a sender would let its next write hit a closed, or
+        reused, fd. Callers make the shard exit first, so a sender blocked
+        on it fails with EPIPE and lets go of the lock.
+        """
+        with handle.send_lock:
+            try:
+                handle.conn.close()
+            except OSError:
+                pass  # receiver already closed it
 
     # -- introspection -------------------------------------------------------
 
@@ -576,10 +564,6 @@ class WorkerPool:
                     "inflight": len(handle.jobs),
                     "jobs_done": handle.jobs_done,
                     "heartbeat_age_s": now - handle.last_seen,
-                    "ring_occupancy": {
-                        "job": handle.job_ring.occupancy(),
-                        "result": handle.result_ring.occupancy(),
-                    },
                     "snapshot": dict(handle.snapshot),
                 }
                 for _, handle in sorted(self._workers.items())
@@ -593,8 +577,6 @@ class WorkerPool:
             "worker.up": [],
             "worker.inflight": [],
             "worker.heartbeat_age_s": [],
-            "worker.job_ring_occupancy": [],
-            "worker.result_ring_occupancy": [],
         }
         counters: dict[str, list[tuple[dict, float]]] = {
             "worker.restarts": [],
@@ -608,11 +590,6 @@ class WorkerPool:
             gauges["worker.inflight"].append((labels, float(status["inflight"])))
             gauges["worker.heartbeat_age_s"].append(
                 (labels, round(status["heartbeat_age_s"], 3))
-            )
-            ring = status["ring_occupancy"]
-            gauges["worker.job_ring_occupancy"].append((labels, float(ring["job"])))
-            gauges["worker.result_ring_occupancy"].append(
-                (labels, float(ring["result"]))
             )
             counters["worker.restarts"].append((labels, float(status["restarts"])))
             counters["worker.jobs_done"].append((labels, float(status["jobs_done"])))
@@ -686,21 +663,6 @@ class WorkerPool:
             return None
         return min(candidates, key=lambda handle: (len(handle.jobs), handle.worker_id))
 
-    def _ring_frame(self, handle: _WorkerHandle, frame: bytes) -> bytes | None:
-        """Stage *frame* in the shard's job ring; returns the slot-ref
-        doorbell frame, or None to send the full frame over the pipe
-        (oversize frame, ring full)."""
-        ring = handle.job_ring
-        if len(frame) > ring.slot_bytes:
-            return None
-        try:
-            slot = ring.put(frame)
-        except RingFull:
-            self.metrics.counter("shm.ring_full").add(1)
-            return None
-        self.metrics.counter("shm.frames").add(1)
-        return encode_slot_ref(slot, len(frame))
-
     def _dispatch(self, job: _Job, handle: _WorkerHandle) -> None:
         frame = pack_job(job.kind, job.job_id, job.request_id, job.payloads)
         with self._lock:
@@ -720,16 +682,12 @@ class WorkerPool:
                 job, exclude=handle.worker_id, reason="target died before dispatch"
             )
             return
-        ref = self._ring_frame(handle, frame)
-        if ref is not None:
-            frame = pack_job("slot", job.job_id, job.request_id, [ref])
         try:
             with handle.send_lock:
                 handle.conn.send_bytes(frame)
         except (OSError, ValueError):
             # The pipe died under us: the down-path requeues (or fails)
             # every job this shard held, including the one just registered.
-            # A slot already staged dies with the incarnation's ring.
             self._worker_down(handle, reason="pipe send failed")
 
     # -- failure handling ----------------------------------------------------
@@ -753,30 +711,12 @@ class WorkerPool:
                 )
                 handle.respawn_at = time.monotonic() + backoff
         self.metrics.counter("workers.deaths").add(1)
-        try:
-            handle.conn.close()
-        except OSError:
-            pass  # receiver thread got there first
         if handle.process.is_alive():
             handle.process.terminate()
-        # Unlink-while-mapped is POSIX-safe: a straggler child keeps its
-        # mapping until it exits, but the name is gone immediately.
-        self._destroy_rings(handle)
+        self._close_pipe(handle)
         self._wake.set()
         for job in orphans:
             self._failover(job, exclude=handle.worker_id, reason=reason)
-
-    def _destroy_rings(self, handle: _WorkerHandle) -> None:
-        """Tear down an incarnation's shm rings (idempotent, crash-safe)."""
-        with self._lock:
-            # The down-path and shutdown can race to tear down one
-            # incarnation; only the first may close the mappings.
-            if not handle.rings_open:
-                return
-            handle.rings_open = False
-        for ring in (handle.job_ring, handle.result_ring):
-            ring.close()
-            ring.unlink()
 
     def _failover(self, job: _Job, *, exclude: int, reason: str) -> None:
         """Requeue one orphaned job exactly once; a second strike fails it."""
@@ -824,14 +764,9 @@ class WorkerPool:
             origin = f"worker-{handle.worker_id}"
             try:
                 kind, job_id, body = unpack_result(frame, origin=origin)
-                if kind == "slot":
-                    kind, job_id, body = self._resolve_slot_result(
-                        handle, body, origin=origin
-                    )
             except CodecError:
-                # A shard emitting unparseable frames — or slot refs that
-                # point at torn/stomped slots — can no longer be trusted
-                # to pair results with jobs: recycle it.
+                # A shard emitting unparseable frames can no longer be
+                # trusted to pair results with jobs: recycle it.
                 self.metrics.counter("workers.garbage_frames").add(1)
                 break
             with self._lock:
@@ -843,27 +778,6 @@ class WorkerPool:
             else:
                 self._complete(handle, job_id, kind, body)
         self._worker_down(handle, reason="worker pipe closed")
-
-    def _resolve_slot_result(
-        self, handle: _WorkerHandle, body: bytes, *, origin: str
-    ) -> tuple[str, str, bytes]:
-        """Follow one result slot ref into the shard's result ring.
-
-        Every failure mode — ring already torn down, torn write (slot never
-        published), length disagreement, nested indirection — surfaces as
-        :class:`CodecError` so the caller's garbage-frame path recycles
-        the shard and requeues its jobs exactly once.
-        """
-        slot, length = decode_slot_ref(body, origin=origin)
-        inner = handle.result_ring.get(slot, origin=origin)
-        if len(inner) != length:
-            raise CodecError(
-                f"{origin}: slot {slot} holds {len(inner)} bytes, ref promised {length}"
-            )
-        kind, job_id, resolved = unpack_result(inner, origin=origin)
-        if kind == "slot":
-            raise CodecError(f"{origin}: nested slot indirection")
-        return kind, job_id, resolved
 
     def _store_snapshot(self, handle: _WorkerHandle, body: bytes) -> None:
         try:
@@ -891,10 +805,6 @@ class WorkerPool:
     # -- spawn + monitor -----------------------------------------------------
 
     def _spawn_worker(self, worker_id: int, *, restarts: int, consecutive: int) -> None:
-        # Fresh rings per incarnation: a crash can leave slots torn or
-        # stranded, so nothing shared survives into the respawn.
-        job_ring = ShmRing.create(self.config.ring_slots, self.config.ring_slot_bytes)
-        result_ring = ShmRing.create(self.config.ring_slots, self.config.ring_slot_bytes)
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=self.shard_main,
@@ -904,17 +814,13 @@ class WorkerPool:
                 worker_id,
                 restarts,
                 self.config.heartbeat_interval_s,
-                job_ring.name,
-                result_ring.name,
             ),
             name=f"decamouflage-worker-{worker_id}",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        handle = _WorkerHandle(
-            worker_id, process, parent_conn, restarts, consecutive, job_ring, result_ring
-        )
+        handle = _WorkerHandle(worker_id, process, parent_conn, restarts, consecutive)
         with self._lock:
             aborted = self._closed
             if not aborted:
@@ -928,7 +834,6 @@ class WorkerPool:
                 pass  # never opened far enough to matter
             process.kill()
             process.join(1.0)
-            self._destroy_rings(handle)
             return
         receiver = threading.Thread(
             target=self._receive_loop,

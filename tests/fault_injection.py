@@ -3,7 +3,7 @@
 Four families of controlled failure, all stdlib:
 
 * :class:`Fault` / :class:`FaultyShard` — typed shard faults (kill,
-  kill-after, kill-mid-write, mute, garbage, slow; one shard or
+  kill-after, kill-mid-frame, mute, garbage, slow; one shard or
   :data:`EVERY_SHARD`) played by a :class:`~repro.serving.workers.Shard`
   subclass. Monkeypatching does not cross a spawn boundary, so the faults
   travel to the child as the pickled arguments of the pool's spawn target
@@ -11,7 +11,7 @@ Four families of controlled failure, all stdlib:
   and server-level tests monkeypatch ``WorkerPool.shard_main`` itself.
 * :func:`tear_slot` / :func:`flip_byte` / :func:`free_all_slots` — edit
   a live :class:`~repro.serving.shm.ShmRing` segment the way a writer
-  dying mid-copy or a stray byte would.
+  dying mid-copy or a stray byte would (the ring's own property tests).
 * :class:`ScriptedServer` — a raw-socket HTTP impostor that plays back a
   scripted sequence of misbehaviours (429 + Retry-After, 503, connection
   reset, slow-loris dribble) so client retry discipline can be asserted
@@ -41,8 +41,7 @@ import numpy as np
 
 from repro.datasets.synthetic import generate_image
 from repro.serving.pipeline import ProtectedPipeline
-from repro.serving.shm import SLOT_FREE, SLOT_WRITING, RingFull, ShmRing, encode_slot_ref
-from repro.serving.wire import pack_result
+from repro.serving.shm import SLOT_FREE, SLOT_WRITING, RingFull, ShmRing
 from repro.serving.workers import Shard, WorkerPool, WorkerPoolConfig, WorkerSpec
 
 SOURCE_SHAPE = (128, 128)
@@ -89,8 +88,8 @@ class FaultKind(enum.Enum):
     KILL = "kill"
     #: score, then exit before replying
     KILL_AFTER = "kill-after"
-    #: tear the reply's result slot half-way, ring the doorbell, exit
-    KILL_MID_WRITE = "kill-mid-write"
+    #: write the reply's length header and half its bytes, then exit
+    KILL_MID_FRAME = "kill-mid-frame"
     #: send one heartbeat, then fall silent
     MUTE = "mute"
     #: reply with an unframed blob
@@ -160,22 +159,26 @@ class FaultyShard(Shard):
             time.sleep(slow.seconds)
         return super().score(kind, job_id, request_id, payloads)
 
-    def reply(self, job_id, frame) -> bool:
-        if FaultKind.KILL_MID_WRITE in self.faults:
-            # The nastiest crash window: the slot write tears half-way but
-            # the doorbell still rings. The dispatcher must refuse the
-            # unpublished slot, recycle this shard, and requeue the job
+    def reply(self, frame) -> bool:
+        if FaultKind.KILL_MID_FRAME in self.faults:
+            # The nastiest crash window: the dispatcher has read a length
+            # header promising a whole frame, and the shard dies half-way
+            # through its bytes (the ``Connection.send_bytes`` framing, a
+            # 4-byte big-endian length, written raw). The dispatcher must
+            # see an end of file, recycle this shard, and requeue the job
             # exactly once.
             try:
-                slot = tear_slot(self.result_ring, frame)
-                self.send(pack_result("slot", job_id, encode_slot_ref(slot, len(frame))))
+                os.write(
+                    self.conn.fileno(),
+                    struct.pack("!i", len(frame)) + frame[: len(frame) // 2],
+                )
             finally:
                 os._exit(172)
         if FaultKind.KILL_AFTER in self.faults:
             os._exit(171)  # simulated crash after scoring, before replying
         if FaultKind.GARBAGE in self.faults:
             return self.send(b"\xde\xad\xbe\xef" + os.urandom(24))
-        return super().reply(job_id, frame)
+        return super().reply(frame)
 
 
 # -- shm slot surgery -------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
-from analyze.engine import analyze_source  # noqa: E402
+from analyze.engine import analyze_source, run_analysis  # noqa: E402
 from analyze.passes import get_passes, known_rules  # noqa: E402
 
 FIXTURES = REPO_ROOT / "tests" / "analyze_fixtures"
@@ -246,6 +246,8 @@ def test_deprecated_import_from_wrong_module_is_flagged():
         "from repro.imaging.plans import spectrum_magnitude_halves\n\nspectrum_magnitude_halves\n",
         "from repro.serving.server import AdmissionQueue\n\nAdmissionQueue\n",
         "def answer(server, headers):\n    return server.saturated_response(headers)\n",
+        "from repro.serving.shm import encode_slot_ref\n\nencode_slot_ref(0, 8)\n",
+        "import repro.serving.shm as shm\n\nREF = shm.decode_slot_ref(b'')\n",
     ],
 )
 def test_removed_scoring_paths_are_flagged(source):
@@ -253,6 +255,50 @@ def test_removed_scoring_paths_are_flagged(source):
         source, "m.py", module="repro.core.m", rules=["api-surface"]
     )
     assert "deprecated-name" in codes_of(report)
+
+
+# -- resource-lifecycle: Popen pipes ----------------------------------------
+
+_POPEN_WITH = """import subprocess
+
+
+def run(command: list) -> str:
+    with subprocess.Popen(command, stdout=subprocess.PIPE, text=True) as process:
+        try:
+            out, _ = process.communicate(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.communicate()
+            raise
+    return out
+"""
+
+_POPEN_PLAIN = """import subprocess
+
+
+def run(command: list) -> int:
+    process = subprocess.Popen(command, stdout=subprocess.PIPE)
+    process.kill()
+    process.wait(timeout=10.0)
+    return process.returncode
+"""
+
+
+def _popen_codes(tmp_path, source: str) -> set[str]:
+    target = tmp_path / "popen_case.py"
+    target.write_text(source)
+    result = run_analysis([target], rules=["resource-lifecycle"], cache_path=None)
+    return {finding.code for finding in result.findings}
+
+
+def test_popen_with_block_is_not_a_pipe_leak(tmp_path):
+    """``Popen.__exit__`` closes stdout/stderr, so a ``with`` block that
+    kills and communicates leaks no pipe."""
+    assert "popen-pipe-leak" not in _popen_codes(tmp_path, _POPEN_WITH)
+
+
+def test_plain_popen_killed_and_waited_leaks_its_pipe(tmp_path):
+    assert "popen-pipe-leak" in _popen_codes(tmp_path, _POPEN_PLAIN)
 
 
 def test_syntax_error_becomes_parse_finding():

@@ -227,32 +227,87 @@ class TestRespawn:
             pool.shutdown()
 
 
-class TestShmTransportFaults:
-    """The shared-memory slot rings under the crash windows they were
-    designed for."""
-
-    def test_kill_mid_slot_write_requeues_once_and_answers(
-        self, benign_images, payload
-    ):
-        """Worker 0 dies half-way through copying its reply into the result
-        ring — with the doorbell already rung, so the dispatcher WILL look
-        at the torn slot. The unpublished slot must be refused cleanly
-        (never torn bytes returned), the shard recycled, and the job
-        requeued exactly once."""
+class TestMidFrameKill:
+    def test_kill_mid_frame_requeues_once_and_answers(self, benign_images, payload):
+        """Worker 0 dies half-way through writing its reply to the pipe,
+        after the length header that promised the whole frame. The torn
+        frame must surface as an end of file (never as data), the shard
+        recycled, and the job requeued exactly once."""
         pipeline = calibrated_pipeline(benign_images)
         pool = make_pool(
-            pipeline, workers=2, faults=[Fault(FaultKind.KILL_MID_WRITE, 0)]
+            pipeline, workers=2, faults=[Fault(FaultKind.KILL_MID_FRAME, 0)]
         )
         try:
-            reply = pool.submit([payload], request_id="req-torn-write")
+            reply = pool.submit([payload], request_id="req-torn-frame")
             assert len(reply["verdicts"]) == 1
-            assert reply["verdicts"][0]["request_id"] == "req-torn-write"
+            assert reply["verdicts"][0]["request_id"] == "req-torn-frame"
             assert pipeline.metrics.counter("workers.requeued").value == 1
             assert pipeline.metrics.counter("workers.deaths").value >= 1
-            # The torn slot surfaced as a refused frame, not as data.
-            assert pipeline.metrics.counter("workers.garbage_frames").value >= 1
         finally:
             pool.shutdown()
+
+
+class TestShutdownBound:
+    def test_shutdown_does_not_wait_on_a_blocked_sender(self, benign_images):
+        """A dispatch thread writing a frame larger than the socket buffer
+        to a busy shard holds that shard's send lock until the shard reads
+        the frame. Shutdown must not wait for it past the drain deadline:
+        it kills the shard, the blocked send fails, and both callers get
+        an answer."""
+        pipeline = calibrated_pipeline(benign_images)
+        drain_timeout_s = 0.5
+        pool = make_pool(
+            pipeline,
+            workers=1,
+            faults=[Fault(FaultKind.SLOW, 0, seconds=3.0)],
+            drain_timeout_s=drain_timeout_s,
+        )
+        pids = list(pool.pids().values())
+        big = b"\x00" * (2 << 20)  # never decoded: the shard dies first
+        returned: list[str] = []
+
+        def submit(request_id: str) -> None:
+            try:
+                pool.submit([big], request_id=request_id)
+            except DetectionError:
+                pass
+            returned.append(request_id)
+
+        callers = []
+        try:
+            wait_until(
+                lambda: pool.worker_status()[0]["ready"],
+                timeout_s=60.0,
+                message="the shard's first heartbeat",
+            )
+            for request_id in ("job-a", "job-b"):
+                caller = threading.Thread(target=submit, args=(request_id,))
+                caller.start()
+                callers.append(caller)
+                wait_until(
+                    lambda: pool.worker_status()[0]["inflight"] == len(callers),
+                    timeout_s=30.0,
+                    message=f"{request_id} to be dispatched",
+                )
+            # Job A sits in the slow shard's score step; job B's send is
+            # blocked on the full socket buffer, holding the send lock.
+            wait_until(
+                lambda: pool._workers[0].send_lock.locked(),
+                timeout_s=10.0,
+                message="job B's sender to hold the send lock",
+            )
+            started = time.monotonic()
+            pool.shutdown()
+            elapsed = time.monotonic() - started
+        finally:
+            pool.shutdown()
+            for caller in callers:
+                caller.join(timeout=30.0)
+        assert elapsed < drain_timeout_s + 1.0, f"shutdown took {elapsed:.2f}s"
+        assert sorted(returned) == ["job-a", "job-b"]
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 def _read_http_response(sock: socket.socket) -> bytes:

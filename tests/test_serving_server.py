@@ -294,6 +294,62 @@ class TestQuarantineNames:
             assert any(name.startswith(f"{path.stem}.") for name in stored)
 
 
+class TestServerErrorBodies:
+    def test_5xx_body_names_no_server_path(
+        self, benign_images, attack_images, tmp_path, capfd
+    ):
+        """A quarantine write that fails with an OSError is the server's
+        fault, not the client's: 500 at every worker count. The body holds
+        a fixed reason and the request id, never the path the exception
+        names; the one stderr line keyed by the request id holds both."""
+        quarantine_dir = tmp_path / "q"
+        log = AuditLog(tmp_path / "audit.jsonl", quarantine_dir=quarantine_dir)
+        pipeline = _make_pipeline(
+            benign_images, policy=Policy.QUARANTINE, audit_log=log
+        )
+        server = DetectionServer(pipeline, _server_config())
+        server.start()
+        try:
+            with DetectionClient(*server.address, max_retries=0) as client:
+                client.wait_ready(timeout_s=120.0 if SERVER_WORKERS else 10.0)
+                if SERVER_WORKERS:
+                    # Each shard opens the quarantine directory as it starts.
+                    wait_until(
+                        lambda: all(
+                            status["ready"]
+                            for status in server.worker_pool.worker_status()
+                        ),
+                        timeout_s=120.0,
+                        message="every shard to be ready",
+                    )
+                quarantine_dir.rmdir()
+                quarantine_dir.write_bytes(b"")
+                status, _, body = client._request(
+                    "POST",
+                    "/v1/detect",
+                    body=encode_image_payload(as_uint8(attack_images[0])),
+                    headers={
+                        "Content-Type": IMAGE_CONTENT_TYPE,
+                        "X-Request-Id": "lost-quarantine",
+                    },
+                )
+        finally:
+            server.shutdown()
+        assert status == 500, body
+        assert json.loads(body) == {
+            "error": "internal error",
+            "request_id": "lost-quarantine",
+        }
+        assert str(tmp_path).encode() not in body
+        lines = [
+            line
+            for line in capfd.readouterr().err.splitlines()
+            if "[lost-quarantine]" in line
+        ]
+        assert len(lines) == 1, lines
+        assert str(quarantine_dir) in lines[0]
+
+
 class TestHealth:
     def test_ready_payload(self, served):
         _, client, _ = served

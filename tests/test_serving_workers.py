@@ -163,50 +163,26 @@ def _untimed(reply: dict) -> list[dict]:
     return [{**verdict, "latency_ms": 0.0} for verdict in reply["verdicts"]]
 
 
-class TestPipeFallback:
-    """Frames the rings cannot carry ride the pipe whole, one at a time,
-    and score exactly as they would in-process."""
+class TestPipeFrames:
+    """Every frame rides the pipe whole, however large, and scores
+    exactly as it would in-process."""
 
-    def test_frames_larger_than_a_slot_ride_the_pipe(self, attack_images):
+    def test_frames_larger_than_the_socket_buffer_ride_the_pipe(self, attack_images):
         pipeline = calibrated_pipeline(holdout_images())
-        # 256-byte slots: every job frame (a PNG) and every result frame
-        # (a verdict's JSON) outgrows them.
-        pool = make_pool(pipeline, workers=1, ring_slot_bytes=256)
-        counter = pipeline.metrics.counter
+        pool = make_pool(pipeline, workers=1)
         try:
             images = [as_uint8(holdout_images(1)[0]), as_uint8(attack_images[0])]
             payloads = [encode_image_payload(image) for image in images]
-            assert min(map(len, payloads)) > 256
-            frames, full = counter("shm.frames").value, counter("shm.ring_full").value
+            # Over 1 MiB of batch body: the send fills the socket buffer
+            # and must block part-way until the shard reads.
+            repeats = (1 << 20) // sum(map(len, payloads)) + 1
+            images, payloads = images * repeats, payloads * repeats
             single = pool.submit(payloads[:1], request_id="big-1")
             batch = pool.submit(payloads, request_id="big-b", batch=True)
             assert _untimed(single) == _in_process_verdicts(pipeline, images[:1], "big-1")
             assert _untimed(batch) == _in_process_verdicts(
                 pipeline, images, "big-b", batch=True
             )
-            # Oversize is not backpressure: neither ring counter moves.
-            assert counter("shm.frames").value == frames
-            assert counter("shm.ring_full").value == full
-        finally:
-            pool.shutdown()
-
-    def test_full_job_ring_falls_back_to_the_pipe(self, attack_images):
-        pipeline = calibrated_pipeline(holdout_images())
-        pool = make_pool(pipeline, workers=1, ring_slots=1)
-        counter = pipeline.metrics.counter
-        try:
-            image = as_uint8(attack_images[0])
-            payload = encode_image_payload(image)
-            pool.submit([payload], request_id="ring-warm")
-            frames, full = counter("shm.frames").value, counter("shm.ring_full").value
-            assert frames == 1 and full == 0
-            # Occupy the only job slot with a frame the shard is never
-            # told about: the next dispatch finds the ring full.
-            pool._workers[0].job_ring.put(b"")
-            reply = pool.submit([payload], request_id="ring-full")
-            assert _untimed(reply) == _in_process_verdicts(pipeline, [image], "ring-full")
-            assert counter("shm.ring_full").value == full + 1
-            assert counter("shm.frames").value == frames
         finally:
             pool.shutdown()
 

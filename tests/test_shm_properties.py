@@ -1,6 +1,7 @@
-"""Property-based tests for the shared-memory slot-ring transport
-(seeded stdlib randomness, no hypothesis dependency) — the shm mirror of
-``tests/test_wire_properties.py``.
+"""Property-based tests for the shared-memory slot ring (seeded stdlib
+randomness, no hypothesis dependency). The shard pool no longer uses the
+ring; it stays for the serving benchmark's ``serving.shm.put_get``
+microbench, and these tests keep it honest until it goes.
 
 Three families of property:
 
@@ -13,9 +14,8 @@ Three families of property:
   before touching any slot.
 * **Corruption**: flipping any single byte of a published slot's record —
   header or payload — makes the reader raise a clean
-  :class:`~repro.errors.CodecError`, exactly the contract the dispatcher's
-  garbage-frame → recycle → requeue-once path is built on. A writer that
-  dies mid-copy (torn write, never published) is refused the same way.
+  :class:`~repro.errors.CodecError`. A writer that dies mid-copy (torn
+  write, never published) is refused the same way.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CodecError
-from repro.serving.shm import (
-    RingFull,
-    ShmRing,
-    decode_slot_ref,
-    encode_slot_ref,
-)
+from repro.serving.shm import RingFull, ShmRing
 from repro.serving.wire import (
     encode_image_payload,
     decode_image_payload,
@@ -114,16 +109,6 @@ class TestRoundTrips:
         finally:
             ring.close()
             ring.unlink()
-
-    def test_slot_ref_round_trip_and_size_check(self):
-        rng = random.Random(SEED + 3)
-        for _ in range(50):
-            slot = rng.randint(0, 2**32 - 1)
-            length = rng.randint(0, 2**32 - 1)
-            assert decode_slot_ref(encode_slot_ref(slot, length)) == (slot, length)
-        for bad in (b"", b"\x00" * 7, b"\x00" * 9):
-            with pytest.raises(CodecError, match="slot ref"):
-                decode_slot_ref(bad)
 
 
 class TestBackpressure:

@@ -107,6 +107,15 @@ class TestRoundTrips:
         with pytest.raises(CodecError, match="unknown result kind"):
             pack_result("maybe", "j", b"")
 
+    def test_slot_frames_are_unknown_kinds(self):
+        """Frames ride the pipe whole; a slot-ref frame is refused like
+        any other unknown kind."""
+        ref = b"\x00" * 8
+        with pytest.raises(CodecError, match="unknown job kind"):
+            unpack_job(pack_batch([b"slot", b"j", b"r", ref]))
+        with pytest.raises(CodecError, match="unknown result kind"):
+            unpack_result(pack_batch([b"slot", b"j", ref]))
+
 
 class TestSingleByteCorruption:
     def test_every_byte_of_a_png_payload_is_load_bearing(self):

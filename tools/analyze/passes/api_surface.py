@@ -123,6 +123,16 @@ DEPRECATED_NAMES: dict[str, dict] = {
         "hint": "refusals go through DetectionServer.refuse(status, message, headers)",
         "allowed_owners": set(),
     },
+    # The shard pool's shared-memory ring transport was removed: every
+    # dispatcher <-> shard frame rides the pipe whole.
+    "encode_slot_ref": {
+        "hint": "frames ride the shard pipe whole; send the frame itself",
+        "allowed_owners": set(),
+    },
+    "decode_slot_ref": {
+        "hint": "frames ride the shard pipe whole; read the frame itself",
+        "allowed_owners": set(),
+    },
 }
 
 

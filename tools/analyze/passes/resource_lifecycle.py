@@ -269,12 +269,14 @@ class ResourceLifecyclePass(ProjectPass):
         out: list[Finding] = []
 
         # Popen with inherited pipes, reaped locally: the pipe fd must be
-        # closed where the process is reaped, whatever else happens.
+        # closed where the process is reaped, whatever else happens. A
+        # ``with Popen(...)`` block closes them in ``__exit__``.
         if (
             kind == "popen"
             and event["pipes"]
             and plain_releases
             and not pipe_closed
+            and not event["managed"]
         ):
             out.append(
                 finding(
