@@ -15,6 +15,16 @@ A third row, (c), times the filtering detector's SSIM alone: the reference
 ``ssim`` against the tiled banded-GEMM ``ssim_fast`` the plan path uses,
 on the image and its minimum-filtered copy.
 
+Cold-shape rows, (d), time the plan path's first ensemble score of a
+shape with every scoring cache cleared (scaling matrices, scoring plans,
+spectrum geometry) against a warm score of the same image, at 96², 160²
+and 256²: what a first-seen upload shape costs. They gate nothing. This
+process keeps glibc's default malloc thresholds, so a cold 256² score
+also pays for arrays the allocator maps afresh; under the thresholds
+``repro serve`` and its shards set
+(:func:`repro.serving.workers.keep_scoring_arrays_on_heap`) the 256²
+penalty measured about 1 ms on a 2-core host.
+
 The reconstruction lives here (not in ``src/``) so the comparison stays
 honest after the legacy implementations are gone: this file *is* the
 reference for what the code used to do per image. Scores are
@@ -55,7 +65,13 @@ from repro.imaging.coefficients import scaling_operators
 from repro.imaging.color import to_grayscale
 from repro.imaging.image import as_float, ensure_image
 from repro.imaging.metrics import mse, ssim, ssim_fast
-from repro.imaging.plans import csp_count_fast, get_scoring_plan, get_spectrum_geometry
+from repro.imaging.plans import (
+    clear_plan_caches,
+    csp_count_fast,
+    get_scoring_plan,
+    get_spectrum_geometry,
+)
+from repro.imaging.scaling import clear_operator_cache
 
 RESULTS_PATH = Path(__file__).parent / "results" / "bench_scoring_plans.txt"
 
@@ -69,6 +85,11 @@ REPEATS = 25
 
 #: The documented plan score tolerance (CSP counts must match exactly).
 REL_TOL = 1e-9
+
+#: Shapes of the cold-shape rows, and min-of-N for their cold scores
+#: (each repeat clears the caches first).
+COLD_SHAPES = ((96, 96), (160, 160), (256, 256))
+COLD_REPEATS = 7
 
 
 # -- the pre-plan implementation, reconstructed ------------------------------
@@ -218,6 +239,28 @@ def _best_of(func, *args, repeats: int) -> float:
     return best
 
 
+def _cold_score(detectors, image: np.ndarray) -> None:
+    clear_operator_cache()
+    clear_plan_caches()
+    _plan_ensemble_scores(detectors, image)
+
+
+def _cold_rows(detectors, repeats: int) -> list[str]:
+    """One row per :data:`COLD_SHAPES` entry: cold and warm ensemble score."""
+    lines = [
+        f"{'cold shape (ensemble)':<28} {'cold min':>12} {'warm min':>12} {'penalty':>9}",
+    ]
+    for shape in COLD_SHAPES:
+        image = generate_image(shape, np.random.default_rng((11, *shape)), family="neurips")
+        cold = _best_of(_cold_score, detectors, image, repeats=min(repeats, COLD_REPEATS))
+        warm = _best_of(_plan_ensemble_scores, detectors, image, repeats=repeats)
+        lines.append(
+            f"{f'cold {shape[0]}x{shape[1]}':<28} {cold * 1000.0:>9.3f} ms "
+            f"{warm * 1000.0:>9.3f} ms {(cold - warm) * 1000.0:>6.2f} ms"
+        )
+    return lines
+
+
 def run_plan_speedup(
     n_images: int = N_IMAGES, repeats: int = REPEATS, save: bool = False
 ) -> str:
@@ -295,6 +338,10 @@ def run_plan_speedup(
         f"{p50('ssim_plan'):>9.3f} ms {p50('ssim_legacy') / p50('ssim_plan'):>8.1f}x",
         f"{'ensemble single-image':<28} {p50('ensemble_legacy'):>9.3f} ms "
         f"{p50('ensemble_plan'):>9.3f} ms {ensemble_speedup:>8.1f}x",
+        "",
+        *_cold_rows(detectors, repeats),
+        "(cold: first score of the shape with the scaling-matrix, plan and",
+        " geometry caches cleared; penalty = cold - warm)",
         "",
         f"gates: steganalysis >= 5x, ensemble >= 2x (hard on cpu_count >= 4 hosts)",
     ]

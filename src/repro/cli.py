@@ -296,33 +296,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-#: glibc malloc thresholds for the serving process. Scoring one image
-#: allocates and frees several image-sized float arrays per request. At
-#: glibc's dynamic defaults they are mmapped, or the heap top is trimmed,
-#: and the pages are faulted in again on every request (50-330 minor
-#: faults per 128² RGB detect request on a 2-core Linux host, against
-#: 0.3-3.5 with these). Arrays up to 8 MiB, a 512² RGB float image, stay
-#: on the heap.
-_MMAP_THRESHOLD_BYTES = 8 << 20
-_TRIM_THRESHOLD_BYTES = 16 << 20
-
-
-def _keep_scoring_arrays_on_heap() -> None:
-    """Fix glibc's mmap and trim thresholds; a no-op on other C libraries."""
-    import ctypes
-
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt(-3, _MMAP_THRESHOLD_BYTES)  # M_MMAP_THRESHOLD
-    mallopt(-1, _TRIM_THRESHOLD_BYTES)  # M_TRIM_THRESHOLD
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving.audit import AuditLog
     from repro.serving.pipeline import ProtectedPipeline
     from repro.serving.policy import Policy
     from repro.serving.server import DetectionServer, ServerConfig
+    from repro.serving.workers import keep_scoring_arrays_on_heap
 
     audit_log = None
     if args.audit_log is not None or args.quarantine_dir is not None:
@@ -339,7 +318,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         policy=Policy(args.policy),
         audit_log=audit_log,
     )
-    _keep_scoring_arrays_on_heap()
+    keep_scoring_arrays_on_heap()
     holdout = _load_holdout(args)
     print(f"calibrating on {len(holdout)} benign images ...", flush=True)
     pipeline.calibrate(holdout, percentile=args.percentile)

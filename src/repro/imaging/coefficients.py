@@ -81,7 +81,35 @@ def _area_matrix_reference(n_in: int, n_out: int) -> np.ndarray:
 
 
 def _kernel_matrix(n_in: int, n_out: int, kernel: Kernel) -> np.ndarray:
-    """Fixed-support convolution weights with replicated borders."""
+    """Fixed-support convolution weights with replicated borders.
+
+    The whole ``(n_out, taps)`` grid is weighted, normalized and scattered
+    at once; ``np.add.at`` adds each row's taps in order, so the result
+    equals :func:`_kernel_matrix_reference` bit for bit.
+    """
+    ratio = n_in / n_out
+    centers = (np.arange(n_out) + 0.5) * ratio - 0.5
+    width = int(np.ceil(kernel.support)) * 2 + 1
+    starts = np.floor(centers).astype(np.int64) - width // 2
+    taps = starts[:, None] + np.arange(width + 1)[None, :]
+    weights = kernel(centers[:, None] - taps)
+    totals = weights.sum(axis=1)
+    empty = np.nonzero(totals <= 0)[0]
+    if empty.size:
+        raise ScalingError(
+            f"kernel {kernel.name!r} produced empty support at output {int(empty[0])}"
+        )
+    weights = weights / totals[:, None]
+    # Replicate-border: out-of-range taps fold onto the edge pixels.
+    clamped = np.clip(taps, 0, n_in - 1)
+    matrix = np.zeros((n_out, n_in))
+    np.add.at(matrix, (np.arange(n_out)[:, None], clamped), weights)
+    return matrix
+
+
+def _kernel_matrix_reference(n_in: int, n_out: int, kernel: Kernel) -> np.ndarray:
+    """Per-output-row loop — the oracle :func:`_kernel_matrix` is
+    exact-equality tested against."""
     ratio = n_in / n_out
     centers = (np.arange(n_out) + 0.5) * ratio - 0.5
     support = kernel.support

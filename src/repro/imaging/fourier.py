@@ -20,7 +20,6 @@ import numpy as np
 from repro.errors import ImageError
 from repro.imaging.color import to_grayscale
 from repro.imaging.image import ensure_image
-from repro.imaging.plans import get_spectrum_geometry
 
 __all__ = [
     "centered_spectrum",
@@ -90,8 +89,8 @@ def binary_spectrum(
     if spectrum is None:
         spectrum = log_spectrum_image(image)
     h, w = spectrum.shape
-    mask = get_spectrum_geometry((h, w), lowpass_radius_fraction).mask
-    return (spectrum >= brightness_threshold) & mask
+    radius = lowpass_radius_fraction * (min(h, w) / 2.0)
+    return (spectrum >= brightness_threshold) & radial_lowpass_mask((h, w), radius)
 
 
 def csp_count(
@@ -156,11 +155,8 @@ def csp_count_from_spectrum(
     from repro.imaging.contours import find_regions
 
     h, w = spectrum.shape
-    # The mask and the radial-distance grid depend only on the spectrum
-    # shape; both come from the per-shape geometry cache (hit rates in
-    # ``pipeline.stats``) instead of being rebuilt per call.
-    geometry = get_spectrum_geometry((h, w), lowpass_radius_fraction)
-    binary = (spectrum >= brightness_threshold) & geometry.mask
+    radius = lowpass_radius_fraction * (min(h, w) / 2.0)
+    binary = (spectrum >= brightness_threshold) & radial_lowpass_mask((h, w), radius)
 
     center = np.array([h // 2, w // 2], dtype=np.float64)
     inner_radius = inner_radius_fraction * min(h, w)
@@ -172,7 +168,9 @@ def csp_count_from_spectrum(
     if not regions:
         return 1
 
-    radial = geometry.radial
+    rows = np.arange(h) - h // 2
+    cols = np.arange(w) - w // 2
+    radial = np.hypot(rows[:, None], cols[None, :])
     outer = 0
     for region in regions:
         distance = float(np.hypot(*(np.array(region.centroid) - center)))

@@ -10,14 +10,13 @@ module precompiles both, once per configuration, and caches the results:
   the round trip ``S = Lu @ (Ld @ I @ Rd) @ Ru``, applied as four
   matmuls with all channels stacked into one batched GEMM per step.
 * :class:`SpectrumGeometry` — per ``(h, w, lowpass_radius_fraction)``,
-  everything the CSP metric would otherwise rederive per call: the
-  radial low-pass mask, the radial-distance grid, the Hermitian index
-  map from centered full-spectrum coordinates into the ``rfft2``
-  half-spectrum, the low-pass disk index list, and the radius-sorted
-  grid used to answer annulus-median queries with two ``searchsorted``
-  calls. :func:`csp_count_fast` uses it to score the CSP metric from a
-  real FFT (half the transform work) without materializing the
-  normalized spectrum image.
+  the low-pass disk and nothing else: its points' centered coordinates,
+  their distance from the center, and their Hermitian indices into the
+  ``rfft2`` half-spectrum. :func:`csp_count_fast` uses it to score the
+  CSP metric from a real FFT (half the transform work) without
+  materializing the normalized spectrum image; a region that survives
+  to the prominence test maps its peak window and its annulus (from a
+  centered crop) into the half spectrum on the spot.
 
 Both caches are thread-safe LRUs with one hit/miss stats contract
 (``size``/``maxsize``/``hits``/``misses``/``hit_rate``), surfaced
@@ -206,26 +205,48 @@ def get_scoring_plan(
 
 @dataclass(frozen=True)
 class SpectrumGeometry:
-    """Per-shape constants of the CSP metric (all read-only arrays).
+    """The low-pass disk of the CSP metric for one spectrum shape.
 
-    Coordinates are centered (``fftshift``) full-spectrum coordinates;
-    ``herm`` maps each of them to the flat index of the corresponding
-    ``rfft2`` half-spectrum bin via Hermitian symmetry, which is what
-    lets the fast path run on half the FFT output.
+    Holds only the disk points, as read-only arrays in row-major order:
+    their centered (``fftshift``) coordinates, their distance from the
+    center, and the flat index of the ``rfft2`` half-spectrum bin each
+    one maps to through Hermitian symmetry, which is what lets the fast
+    path run on half the FFT output. Nothing is kept for the rest of the
+    grid; :func:`csp_count_fast` maps a region's peak window and annulus
+    into the half spectrum when a region needs them.
     """
 
     shape: tuple[int, int]
     radius: float
-    mask: np.ndarray = field(repr=False)  # (h, w) bool low-pass disk
-    radial: np.ndarray = field(repr=False)  # (h, w) distance from center
-    herm: np.ndarray = field(repr=False)  # (h, w) int64 half-spectrum flat index
-    disk_flat: np.ndarray = field(repr=False)  # flat full indices, mask True
     disk_rows: np.ndarray = field(repr=False)  # row coordinate per disk point
     disk_cols: np.ndarray = field(repr=False)  # col coordinate per disk point
     disk_radial: np.ndarray = field(repr=False)  # center distance per disk point
     disk_herm: np.ndarray = field(repr=False)  # half indices of disk points
-    radial_sorted: np.ndarray = field(repr=False)  # sorted radial.ravel()
-    herm_by_radial: np.ndarray = field(repr=False)  # half indices in that order
+
+
+def _half_spectrum_index(
+    rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
+) -> np.ndarray:
+    """Flat ``rfft2`` half-spectrum indices of centered coordinates.
+
+    Centered coordinate ``(i, j)`` is unshifted frequency
+    ``(u, v) = ((i - h//2) % h, (j - w//2) % w)``; bins with
+    ``v >= w//2 + 1`` mirror onto ``((h - u) % h, w - v)`` with equal
+    magnitude. *rows* and *cols* broadcast against each other.
+    """
+    h, w = shape
+    half_w = w // 2 + 1
+    u = (rows - h // 2) % h
+    v = (cols - w // 2) % w
+    mirror = v >= half_w
+    u = np.where(mirror, (h - u) % h, u)
+    v = np.where(mirror, w - v, v)
+    return (u * half_w + v).astype(np.int64, copy=False)
+
+
+def _centered_offsets(reach: int, n: int) -> np.ndarray:
+    """Offsets from the center ``n // 2`` within *reach*, clipped to the grid."""
+    return np.arange(max(-reach, -(n // 2)), min(reach, n - 1 - n // 2) + 1)
 
 
 def _build_spectrum_geometry(key: tuple) -> SpectrumGeometry:
@@ -233,45 +254,18 @@ def _build_spectrum_geometry(key: tuple) -> SpectrumGeometry:
     radius = lowpass_radius_fraction * (min(h, w) / 2.0)
     if radius <= 0:
         raise ImageError(f"low-pass radius must be positive, got {radius}")
-    rows = np.arange(h) - h // 2
-    cols = np.arange(w) - w // 2
-    dist_sq = rows[:, None] ** 2 + cols[None, :] ** 2
-    mask = dist_sq <= radius * radius
-    radial = np.hypot(rows[:, None], cols[None, :])
-
-    # Hermitian map: centered coordinate (i, j) is unshifted frequency
-    # (u, v) = ((i - h//2) % h, (j - w//2) % w); bins with v >= w//2 + 1
-    # mirror onto ((h - u) % h, w - v) with equal magnitude.
-    half_w = w // 2 + 1
-    u = (np.arange(h)[:, None] - h // 2) % h
-    v = (np.arange(w)[None, :] - w // 2) % w
-    u = np.broadcast_to(u, (h, w)).copy()
-    v = np.broadcast_to(v, (h, w)).copy()
-    mirror = v >= half_w
-    u[mirror] = (h - u[mirror]) % h
-    v[mirror] = w - v[mirror]
-    herm = (u * half_w + v).astype(np.int64)
-
-    disk_flat = np.nonzero(mask.ravel())[0]
-    disk_rows = disk_flat // w
-    disk_cols = disk_flat - disk_rows * w
-    disk_radial = radial.ravel()[disk_flat]
-    disk_herm = herm.ravel()[disk_flat]
-    order = np.argsort(radial.ravel(), kind="stable")
-    radial_sorted = radial.ravel()[order]
-    herm_by_radial = herm.ravel()[order]
-    arrays = (
-        mask,
-        radial,
-        herm,
-        disk_flat,
-        disk_rows,
-        disk_cols,
-        disk_radial,
-        disk_herm,
-        radial_sorted,
-        herm_by_radial,
-    )
+    # No point further than int(radius) from the center along either axis
+    # is on the disk, so only that centered square is tested, with the
+    # expression of repro.imaging.fourier.radial_lowpass_mask.
+    row_offsets = _centered_offsets(int(radius), h)
+    col_offsets = _centered_offsets(int(radius), w)
+    dist_sq = row_offsets[:, None] ** 2 + col_offsets[None, :] ** 2
+    local_rows, local_cols = np.nonzero(dist_sq <= radius * radius)
+    disk_rows = row_offsets[local_rows] + h // 2
+    disk_cols = col_offsets[local_cols] + w // 2
+    disk_radial = np.hypot(row_offsets[local_rows], col_offsets[local_cols])
+    disk_herm = _half_spectrum_index(disk_rows, disk_cols, (h, w))
+    arrays = (disk_rows, disk_cols, disk_radial, disk_herm)
     for array in arrays:
         array.setflags(write=False)
     return SpectrumGeometry((h, w), radius, *arrays)
@@ -408,32 +402,48 @@ def csp_count_fast(
         return 1
 
     outer = 0
-    backgrounds: dict[tuple[int, int], float] = {}
+    backgrounds: dict[float, float] = {}
     for index in np.nonzero(keep)[0]:
         r0, c0, r1, c1 = bboxes[index]
-        window = geometry.herm[r0 : r1 + 1, c0 : c1 + 1]
+        window = _half_spectrum_index(
+            np.arange(r0, r1 + 1)[:, None], np.arange(c0, c1 + 1)[None, :], (h, w)
+        )
         peak = (np.log1p(flat_magnitude[window].max()) - low) * scale
         distance = float(distances[index])
-        lo = int(
-            np.searchsorted(geometry.radial_sorted, distance - 3.0, side="right")
-        )
-        hi = int(
-            np.searchsorted(geometry.radial_sorted, distance + 3.0, side="left")
-        )
-        # Mirror-symmetric spectrum regions sit at the same radius and
-        # share the exact same annulus window, so the median is memoized
-        # per (lo, hi) slice.
-        background = backgrounds.get((lo, hi))
+        # Mirror-symmetric spectrum regions usually sit at the same
+        # distance, so the annulus median is memoized per distance.
+        background = backgrounds.get(distance)
         if background is None:
-            if hi > lo:
-                annulus = flat_magnitude[geometry.herm_by_radial[lo:hi]]
-                background = _median_normalized(annulus, low, scale)
-            else:
-                background = 0.0
-            backgrounds[lo, hi] = background
+            annulus = flat_magnitude[_annulus_half_index(distance, (h, w))]
+            background = (
+                _median_normalized(annulus, low, scale) if annulus.size else 0.0
+            )
+            backgrounds[distance] = background
         if peak - background >= min_prominence:
             outer += 1
     return 1 + outer
+
+
+def _annulus_half_index(distance: float, shape: tuple[int, int]) -> np.ndarray:
+    """Half-spectrum indices of the points ``d - 3 < radial < d + 3``.
+
+    The predicate and the ``np.hypot`` of integer center offsets are the
+    reference's (:func:`repro.imaging.fourier.csp_count_from_spectrum`),
+    evaluated over the centered square of half-side ``int(d + 3) + 1``
+    only: no point outside it is nearer than ``d + 3``, so the points are
+    exactly the reference's.
+    """
+    h, w = shape
+    reach = int(distance + 3.0) + 1
+    row_offsets = _centered_offsets(reach, h)
+    col_offsets = _centered_offsets(reach, w)
+    radial = np.hypot(row_offsets[:, None], col_offsets[None, :])
+    local_rows, local_cols = np.nonzero(
+        (radial > distance - 3.0) & (radial < distance + 3.0)
+    )
+    return _half_spectrum_index(
+        row_offsets[local_rows] + h // 2, col_offsets[local_cols] + w // 2, shape
+    )
 
 
 # -- cache surfaces ---------------------------------------------------------

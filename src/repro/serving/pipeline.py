@@ -220,7 +220,11 @@ class ProtectedPipeline:
         write the quarantine file.
 
         No sequencing, stats or audit: :meth:`record` does that. Every
-        image scores on its own through ``detect_from``.
+        image scores on its own through ``detect_from``, one at a time:
+        an image's :class:`ImageAnalysis` (float view, round trip,
+        filtered image, luma plane) is released once it is scored, unless
+        the policy will quarantine it with those intermediates as
+        artifacts. The policy runs only after every image is scored.
         """
         if not self.is_calibrated:
             raise DetectionError("pipeline is not calibrated; call calibrate() first")
@@ -229,19 +233,32 @@ class ProtectedPipeline:
         if not images:
             return []
         with self.metrics.timer("pipeline.screen"):
-            analyses = [self.ensemble.analyze(image) for image in images]
-            detections = [self.ensemble.detect_from(analysis) for analysis in analyses]
+            screened = [self._score(image) for image in images]
         return [
-            self._resolve(analysis, identifier, detection)
-            for analysis, identifier, detection in zip(analyses, image_ids, detections)
+            self._resolve(image, identifier, detection, analysis)
+            for (image, detection, analysis), identifier in zip(screened, image_ids)
         ]
 
+    def _score(
+        self, image: np.ndarray
+    ) -> tuple[np.ndarray, EnsembleDetection, ImageAnalysis | None]:
+        """Score one image: ``(image, detection, analysis)``, where the
+        analysis is kept only for an attack the policy will quarantine."""
+        analysis = self.ensemble.analyze(image)
+        detection = self.ensemble.detect_from(analysis)
+        quarantines = detection.is_attack and self.policy is Policy.QUARANTINE
+        return analysis.image, detection, analysis if quarantines else None
+
     def _resolve(
-        self, analysis: ImageAnalysis, identifier: str, detection: EnsembleDetection
+        self,
+        image: np.ndarray,
+        identifier: str,
+        detection: EnsembleDetection,
+        analysis: ImageAnalysis | None,
     ) -> PipelineOutcome:
         """Apply the response policy to one screened image (I/O-free except
-        for the explicit quarantine write)."""
-        image = analysis.image
+        for the explicit quarantine write). *analysis* is the image's kept
+        analysis when the policy quarantines it, else None."""
         quarantine_path: str | None = None
         if not detection.is_attack:
             action = "accepted"

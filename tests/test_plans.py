@@ -27,6 +27,8 @@ from repro.errors import ScalingError
 from repro.imaging.coefficients import (
     _area_matrix,
     _area_matrix_reference,
+    _kernel_matrix,
+    _kernel_matrix_reference,
     scaling_operators,
 )
 from repro.imaging.color import to_grayscale
@@ -38,6 +40,7 @@ from repro.imaging.contours import (
 )
 from repro.imaging.fourier import csp_count_from_spectrum, log_spectrum_image
 from repro.imaging.image import as_uint8
+from repro.imaging.kernels import get_kernel
 from repro.imaging.metrics import mse, ssim, ssim_fast
 from repro.imaging.plans import (
     PlanCache,
@@ -202,12 +205,80 @@ class TestSpectrumParity:
         assert max(counts) > 1
 
     def test_geometry_matches_public_mask(self):
+        """The disk points are the public mask's, in row-major order, and
+        each maps to the half-spectrum bin holding its centered magnitude."""
         from repro.imaging.fourier import radial_lowpass_mask
 
-        for shape in [(16, 16), (33, 47), (128, 128)]:
-            geometry = get_spectrum_geometry(shape)
-            radius = 0.5 * (min(shape) / 2.0)
-            assert np.array_equal(geometry.mask, radial_lowpass_mask(shape, radius))
+        rng = np.random.default_rng(11)
+        for shape, fraction in [
+            ((16, 16), 0.5),
+            ((33, 47), 0.5),
+            ((128, 128), 0.5),
+            ((97, 250), 0.5),
+            ((20, 9), 1.7),
+        ]:
+            geometry = get_spectrum_geometry(shape, fraction)
+            radius = fraction * (min(shape) / 2.0)
+            rows, cols = np.nonzero(radial_lowpass_mask(shape, radius))
+            assert np.array_equal(geometry.disk_rows, rows)
+            assert np.array_equal(geometry.disk_cols, cols)
+            h, w = shape
+            assert np.array_equal(
+                geometry.disk_radial, np.hypot(rows - h // 2, cols - w // 2)
+            )
+            plane = rng.uniform(0, 255, size=shape)
+            centered = np.abs(np.fft.fftshift(np.fft.fft2(plane)))
+            half = np.abs(np.fft.rfft2(plane)).ravel()
+            assert np.allclose(
+                half[geometry.disk_herm], centered[rows, cols], rtol=1e-12, atol=1e-9
+            )
+
+    def test_csp_counts_exactly_equal_on_mixed_shape_sweep(self, monkeypatch):
+        """24 shapes in [96, 256], one benign image each and an attack on
+        four of them (shapes where the bilinear crafter reaches its ε-band
+        at these seeds): counts equal the reference, attacks count above
+        one, and benign spectra reach the annulus median too."""
+        import repro.imaging.plans as plans
+
+        reached = []
+        annulus = plans._annulus_half_index
+
+        def counting(distance, shape):
+            reached.append(shape)
+            return annulus(distance, shape)
+
+        monkeypatch.setattr(plans, "_annulus_half_index", counting)
+        layout = np.random.default_rng(23)
+        heights = layout.integers(96, 257, size=24)
+        widths = layout.integers(96, 257, size=24)
+        benign_reached = 0
+        attack_counts = []
+        for index, (h, w) in enumerate(zip(heights, widths)):
+            shape = (int(h), int(w))
+            rng = np.random.default_rng((index, *shape))
+            image = generate_image(shape, rng)
+            before = len(reached)
+            fast = csp_count_fast(to_grayscale(image))
+            benign_reached += len(reached) > before
+            assert fast == csp_count_from_spectrum(log_spectrum_image(image)), shape
+            if index in (3, 4, 11, 14):
+                target = resize(
+                    generate_image(shape, rng, family="caltech"), (24, 24), "bilinear"
+                )
+                attack = as_uint8(
+                    craft_attack_image(
+                        generate_image(shape, rng, family="neurips"),
+                        target,
+                        algorithm="bilinear",
+                        config=AttackConfig(epsilon=4.0),
+                    ).attack_image
+                )
+                fast = csp_count_fast(to_grayscale(attack))
+                exact = csp_count_from_spectrum(log_spectrum_image(attack))
+                assert fast == exact, ("attack", shape)
+                attack_counts.append(fast)
+        assert benign_reached >= 1
+        assert max(attack_counts) > 1
 
 
 @st.composite
@@ -364,6 +435,25 @@ class TestAreaMatrixVectorization:
         for n_in, n_out in pairs:
             assert np.array_equal(
                 _area_matrix(n_in, n_out), _area_matrix_reference(n_in, n_out)
+            ), (n_in, n_out)
+
+
+class TestKernelMatrixVectorization:
+    @pytest.mark.parametrize(
+        "algorithm, seed", [("bilinear", 1), ("bicubic", 2), ("lanczos4", 3)]
+    )
+    def test_matches_reference_exactly(self, algorithm, seed):
+        kernel = get_kernel(algorithm)
+        rng = np.random.default_rng(seed)
+        pairs = [(7, 1), (7, 299), (512, 1), (512, 299), (16, 256), (256, 16)]
+        pairs += [
+            (int(n_in), int(n_out))
+            for n_in, n_out in zip(rng.integers(7, 513, 40), rng.integers(1, 300, 40))
+        ]
+        for n_in, n_out in pairs:
+            assert np.array_equal(
+                _kernel_matrix(n_in, n_out, kernel),
+                _kernel_matrix_reference(n_in, n_out, kernel),
             ), (n_in, n_out)
 
 

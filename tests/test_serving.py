@@ -1,10 +1,12 @@
 """Unit tests for the serving layer (protected pipeline + audit log)."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.datasets.synthetic import generate_image
 from repro.errors import DetectionError, ReproError
 from repro.serving import AuditLog, AuditRecord, Policy, ProtectedPipeline
 
@@ -67,6 +69,25 @@ class TestPolicies:
         # never renders the full log-spectrum image, so there is no such
         # artifact.
         assert "poison-1.log_spectrum.png" not in stored
+
+    def test_batch_quarantine_stores_only_the_attack(
+        self, benign_images, attack_images, tmp_path
+    ):
+        """In a mixed batch only the attack keeps its analysis to the
+        policy step: it alone gets its image and artifacts."""
+        log = AuditLog(tmp_path / "log.jsonl", quarantine_dir=tmp_path / "q")
+        pipeline = ProtectedPipeline(MODEL_INPUT, policy=Policy.QUARANTINE, audit_log=log)
+        pipeline.calibrate(benign_images, percentile=5.0)
+        benign, attack = pipeline.submit_batch(
+            [benign_images[0], attack_images[0]], prefix="mixed"
+        )
+        assert benign.action == "accepted" and benign.quarantine_path is None
+        assert attack.action == "quarantined"
+        stored = {p.name for p in (tmp_path / "q").glob("*.png")}
+        assert "mixed-00001.png" in stored
+        assert any(name.startswith("mixed-00001.round_trip_") for name in stored)
+        assert "mixed-00001.filtered_minimum_2.png" in stored
+        assert not any(name.startswith("mixed-00000") for name in stored)
 
     def test_sanitize_policy_neutralizes(self, benign_images, attack_images, target_images):
         from repro.imaging.metrics import mse
@@ -137,6 +158,25 @@ class TestObservability:
         latency = pipeline.stats.as_dict()["latency_ms"]
         assert latency["detector.scaling.mse"]["count"] == 3
         assert latency["pipeline.screen"]["count"] == 1
+
+    def test_batch_screen_holds_one_images_working_set(self, pipeline):
+        """Screening releases each image's analysis once it is scored, so
+        four 256² RGB images peak about where one does."""
+        images = [
+            generate_image((256, 256), np.random.default_rng((29, i)), family="neurips")
+            for i in range(4)
+        ]
+        ids = [f"peak-{i}" for i in range(4)]
+        pipeline.screen(images, ids)  # compile plans and geometry first
+        peaks = []
+        for count in (1, 4):
+            tracemalloc.start()
+            try:
+                pipeline.screen(images[:count], ids[:count])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_injected_metrics_registry(self, benign_images):
         from repro.observability import Metrics

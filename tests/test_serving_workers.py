@@ -10,6 +10,7 @@ contract: sharded verdicts are bit-for-bit the in-process ones, and
 from __future__ import annotations
 
 import json
+import multiprocessing
 import sys
 import threading
 
@@ -19,8 +20,9 @@ from repro.errors import CodecError, DetectionError, ReproError
 from repro.imaging.image import as_uint8
 from repro.serving.audit import AuditLog, AuditRecord
 from repro.serving.pipeline import ProtectedPipeline, verdict_payload
-from repro.serving.wire import encode_image_payload
-from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec
+import repro.serving.workers as workers
+from repro.serving.wire import encode_image_payload, pack_job
+from repro.serving.workers import Shard, WorkerPool, WorkerPoolConfig, WorkerSpec
 
 from tests.conftest import MODEL_INPUT, wait_until
 from tests.fault_injection import (
@@ -71,6 +73,25 @@ class TestWorkerSpec:
         # parent must get its registry back afterwards.
         for detector in parent.ensemble.detectors:
             assert detector.metrics is not None
+
+
+class TestShardMain:
+    def test_spawn_target_keeps_scoring_arrays_on_heap(self, benign_images, monkeypatch):
+        """The shard's spawn target sets the scoring malloc thresholds
+        before it serves, as ``repro serve`` does in its own process."""
+        calls = []
+        monkeypatch.setattr(
+            workers, "keep_scoring_arrays_on_heap", lambda: calls.append("heap")
+        )
+        spec = WorkerSpec.from_pipeline(calibrated_pipeline(benign_images))
+        dispatcher, shard = multiprocessing.Pipe()
+        dispatcher.send_bytes(pack_job("stop", "-", "-", []))
+        try:
+            Shard.main(shard, spec, 0, 0, 0.05)
+        finally:
+            dispatcher.close()
+            shard.close()
+        assert calls == ["heap"]
 
 
 class TestPoolScoring:

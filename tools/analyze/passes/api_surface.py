@@ -133,6 +133,18 @@ DEPRECATED_NAMES: dict[str, dict] = {
         "hint": "frames ride the shard pipe whole; read the frame itself",
         "allowed_owners": set(),
     },
+    # The spectrum geometry keeps the low-pass disk only; csp_count_fast
+    # selects each annulus from a centered crop.
+    "radial_sorted": {
+        "hint": "SpectrumGeometry keeps the low-pass disk only (disk_rows, "
+        "disk_cols, disk_radial, disk_herm); annuli come from a centered crop",
+        "allowed_owners": set(),
+    },
+    "herm_by_radial": {
+        "hint": "SpectrumGeometry keeps the low-pass disk only (disk_rows, "
+        "disk_cols, disk_radial, disk_herm); annuli come from a centered crop",
+        "allowed_owners": set(),
+    },
 }
 
 
