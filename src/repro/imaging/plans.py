@@ -58,9 +58,7 @@ __all__ = [
     "get_scoring_plan",
     "get_spectrum_geometry",
     "plan_cache_stats",
-    "plan_cache_keys",
     "geometry_cache_stats",
-    "geometry_cache_keys",
     "clear_plan_caches",
     "csp_count_fast",
 ]
@@ -103,11 +101,6 @@ class PlanCache:
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
         return plan
-
-    def keys(self) -> list[tuple]:
-        """Current cache keys, least recently used first (for pre-warming)."""
-        with self._lock:
-            return list(self._entries)
 
     def stats(self) -> dict[str, float | int]:
         """Hit/miss counters and the current fill, for dashboards."""
@@ -454,19 +447,9 @@ def plan_cache_stats() -> dict[str, float | int]:
     return _PLAN_CACHE.stats()
 
 
-def plan_cache_keys() -> list[tuple]:
-    """Keys currently compiled — what a worker pre-warms at spawn."""
-    return _PLAN_CACHE.keys()
-
-
 def geometry_cache_stats() -> dict[str, float | int]:
     """Hit/miss statistics of the spectrum-geometry cache."""
     return _GEOMETRY_CACHE.stats()
-
-
-def geometry_cache_keys() -> list[tuple]:
-    """Keys currently in the spectrum-geometry cache."""
-    return _GEOMETRY_CACHE.keys()
 
 
 def clear_plan_caches() -> None:

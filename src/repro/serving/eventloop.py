@@ -49,7 +49,13 @@ from http import HTTPStatus
 from http.client import HTTPException, parse_headers
 from http.server import DEFAULT_ERROR_CONTENT_TYPE, DEFAULT_ERROR_MESSAGE
 
-__all__ = ["DETECT_PATHS", "EventLoopFrontend", "body_framing", "serialize_response"]
+__all__ = [
+    "DETECT_PATHS",
+    "MAX_BODY_BYTES",
+    "EventLoopFrontend",
+    "body_framing",
+    "serialize_response",
+]
 
 #: ``Server:`` header value, in ``http.server``'s "<version> Python/<x.y.z>"
 #: form.
@@ -63,6 +69,8 @@ _MAX_BUFFER_SLACK = 1024 * 1024
 _SOCKET_TIMEOUT_S = 10.0
 #: Paths whose requests pass the admission gate.
 DETECT_PATHS = ("/v1/detect", "/v1/detect/batch")
+#: Largest accepted request body; a longer Content-Length answers 413.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 #: A Content-Length value is ``1*DIGIT`` (RFC 9112 §6.3): no sign, no
 #: underscores, no list.
 _DIGITS = re.compile(r"[0-9]+")
@@ -92,14 +100,14 @@ def serialize_response(status: int, headers, body: bytes, *, reason: str | None 
     return "".join(lines).encode("latin-1", "strict") + body
 
 
-def body_framing(headers, max_body_bytes: int) -> tuple[int, tuple[int, str] | None]:
+def body_framing(headers) -> tuple[int, tuple[int, str] | None]:
     """Decide a POST body's framing from its ``Content-Length`` headers.
 
     Returns ``(length, None)`` when *length* body bytes follow, or
     ``(0, (status, message))`` when the request must be refused without
     reading a body: 411 when the header is missing, 400 when a value is
     not ``1*DIGIT`` or duplicates differ (RFC 9112 §6.3; identical
-    duplicates pass), 413 past *max_body_bytes*. The server's only
+    duplicates pass), 413 past :data:`MAX_BODY_BYTES`. The server's only
     Content-Length parser.
     """
     values = [value.strip() for value in headers.get_all("Content-Length") or ()]
@@ -112,7 +120,7 @@ def body_framing(headers, max_body_bytes: int) -> tuple[int, tuple[int, str] | N
         length = -1
     if length < 0:
         return 0, (400, f"invalid Content-Length {raw!r}")
-    if length > max_body_bytes:
+    if length > MAX_BODY_BYTES:
         return 0, (413, f"body of {length} bytes exceeds limit")
     return length, None
 
@@ -423,7 +431,7 @@ class EventLoopFrontend:
         conn.request = (method, path, headers, requestline)
         refusal = None
         if method == "POST":
-            length, refusal = body_framing(headers, self._server.config.max_body_bytes)
+            length, refusal = body_framing(headers)
             if refusal is None:
                 conn.state = "body"
                 conn.body_target = length

@@ -66,6 +66,9 @@ from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec, scor
 
 __all__ = ["ServerConfig", "DetectionServer", "WireResponse"]
 
+#: Advisory client back-off on 429/503, whole seconds (``Retry-After``).
+_RETRY_AFTER_S = 1
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -81,10 +84,6 @@ class ServerConfig:
     queue_depth: int = 16
     #: Per-request admission deadline; overruns answer 503.
     deadline_ms: float = 2000.0
-    #: Advisory client back-off on 429/503, seconds.
-    retry_after_s: float = 1.0
-    #: Largest accepted request body; beyond it answers 413.
-    max_body_bytes: int = 64 * 1024 * 1024
     #: Print one log line per request to stderr.
     verbose: bool = False
     #: Scoring shard processes (:mod:`repro.serving.workers`); 0 runs the
@@ -184,7 +183,7 @@ class DetectionServer:
             message,
             self._request_id(headers),
             requestline,
-            retry_after_s=None if close else self.config.retry_after_s,
+            retry_after=not close,
             close=close,
         )
 
@@ -236,7 +235,7 @@ class DetectionServer:
         *,
         content_type: str = "application/json",
         request_id: str | None = None,
-        retry_after_s: float | None = None,
+        retry_after: bool = False,
         close: bool = False,
     ) -> WireResponse:
         headers = [
@@ -245,8 +244,8 @@ class DetectionServer:
         ]
         if request_id is not None:
             headers.append(("X-Request-Id", request_id))
-        if retry_after_s is not None:
-            headers.append(("Retry-After", f"{max(1, round(retry_after_s))}"))
+        if retry_after:
+            headers.append(("Retry-After", str(_RETRY_AFTER_S)))
         if self.draining:
             close = True
         if close:

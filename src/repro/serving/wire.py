@@ -17,8 +17,8 @@ protocol over ``multiprocessing`` pipes (:mod:`repro.serving.workers`):
   :data:`JOB_KINDS`;
 * a **result** frame is ``[kind, job_id, body]`` (:func:`pack_result` /
   :func:`unpack_result`), ``kind`` one of :data:`RESULT_KINDS` — a JSON
-  verdict list for ``"ok"``, a JSON error descriptor for ``"err"``, and a
-  JSON metrics snapshot for heartbeats (``"hb"``).
+  verdict list for ``"ok"``, a JSON error descriptor for ``"err"``, and an
+  empty body for heartbeats (``"hb"``), which are bare liveness frames.
 
 All sides import from here so the framing cannot drift apart, and every
 malformed frame raises :class:`~repro.errors.CodecError` — truncation,

@@ -19,8 +19,9 @@ dispatch threads become thin dispatchers speaking the
 * :func:`score_job` — the one detect job: decode, screen, serialize the
   verdicts. Shards run it; a server without shards runs it in the
   dispatcher.
-* :class:`Shard` — the shard process: run jobs, reply; send a heartbeat
-  whenever idle for one interval.
+* :class:`Shard` — the shard process: a plain job runner holding its
+  calibrated pipeline and nothing else. It runs jobs and replies, and
+  sends a bare liveness heartbeat whenever idle for one interval.
 
 Every frame rides the shard's ``multiprocessing`` pipe whole: jobs, stop
 frames, results and heartbeats alike. A shard killed part-way through a
@@ -31,7 +32,10 @@ Division of labour: shards screen and write quarantine artifacts (they
 hold the memoized analysis intermediates) and never record; the
 dispatcher passes every reply to :meth:`ProtectedPipeline.record`, which
 keeps ``pipeline.stats``, sequence numbers and JSONL audit records — the
-same call a server without shards makes.
+same call a server without shards makes. The per-shard counters
+(``worker.jobs_done``, ``worker.scored``, ``worker.errors``) are counted
+in the dispatcher too, from the result frames it receives, so they move
+while a shard is busy.
 """
 
 from __future__ import annotations
@@ -46,12 +50,6 @@ from dataclasses import dataclass
 
 from repro.core.ensemble import DetectionEnsemble
 from repro.errors import CodecError, DetectionError, ImageError, ReproError
-from repro.imaging.plans import (
-    geometry_cache_keys,
-    get_scoring_plan,
-    get_spectrum_geometry,
-    plan_cache_keys,
-)
 from repro.observability import Metrics
 from repro.serving.audit import AuditLog
 from repro.serving.pipeline import ProtectedPipeline, batch_image_ids, verdict_payload
@@ -107,7 +105,8 @@ class WorkerSpec:
 
     Captured once (at pool start) from a calibrated pipeline and reused for
     every respawn, so a shard that crashed mid-flight comes back with the
-    exact same thresholds.
+    exact same thresholds. It carries no cache state: a shard builds each
+    scoring plan and spectrum geometry on first use, like the dispatcher.
     """
 
     model_input_shape: tuple[int, int]
@@ -119,11 +118,6 @@ class WorkerSpec:
     #: quarantine destination, or None when the policy never quarantines.
     audit_log_path: str | None = None
     quarantine_dir: str | None = None
-    #: scoring-plan / spectrum-geometry cache keys warm in the parent when
-    #: the pool started; each shard compiles them at spawn so its first
-    #: request pays no plan-build latency.
-    warm_plan_keys: tuple = ()
-    warm_geometry_keys: tuple = ()
 
     @classmethod
     def from_pipeline(cls, pipeline: ProtectedPipeline) -> "WorkerSpec":
@@ -153,21 +147,7 @@ class WorkerSpec:
             detectors_pickle=blob,
             audit_log_path=str(audit.log_path) if quarantines else None,
             quarantine_dir=str(audit.quarantine_dir) if quarantines else None,
-            warm_plan_keys=tuple(plan_cache_keys()),
-            warm_geometry_keys=tuple(geometry_cache_keys()),
         )
-
-    def prewarm_caches(self) -> None:
-        """Pre-warm the plan caches.
-
-        Called in the shard process before it answers any job: plan/geometry
-        compilation happens during the startup grace window instead of on
-        the first request.
-        """
-        for src_shape, dst_shape, algorithm, upscale in self.warm_plan_keys:
-            get_scoring_plan(src_shape, dst_shape, algorithm, upscale)
-        for height, width, lowpass in self.warm_geometry_keys:
-            get_spectrum_geometry((height, width), lowpass)
 
     def build_pipeline(self) -> ProtectedPipeline:
         """Reconstruct the calibrated pipeline inside a shard process."""
@@ -226,6 +206,8 @@ def score_job(
 class Shard:
     """One shard process: score jobs, heartbeat when idle, exit on stop.
 
+    It holds its calibrated pipeline and nothing else: every per-shard
+    number is counted by the dispatcher from the frames it receives.
     :meth:`run` is the loop; :meth:`heartbeat`, :meth:`score` and
     :meth:`reply` are its three steps, each overridable on its own.
     """
@@ -244,10 +226,6 @@ class Shard:
         self.restarts = restarts
         self.heartbeat_interval_s = heartbeat_interval_s
         self.origin = f"worker-{worker_id}"
-        #: images screened and jobs failed, for the heartbeat snapshot
-        self.submitted = 0
-        self.errors = 0
-        spec.prewarm_caches()
         self.pipeline = spec.build_pipeline()
 
     @classmethod
@@ -272,7 +250,6 @@ class Shard:
             try:
                 kind, job_id, request_id, payloads = unpack_job(frame, origin=self.origin)
             except CodecError:
-                self.errors += 1
                 continue  # dispatcher bug; the job times out and fails over
             if kind == "stop":
                 return
@@ -280,17 +257,8 @@ class Shard:
                 return
 
     def heartbeat(self) -> bool:
-        """Report this shard's stats; False once the dispatcher is gone."""
-        screen = self.pipeline.metrics.histogram("pipeline.screen").summary()
-        snapshot = {
-            "submitted": self.submitted,
-            "errors": self.errors,
-            "screen_ms": {
-                key: round(float(screen.get(key, 0.0)), 3)
-                for key in ("count", "mean_ms", "p50_ms", "p95_ms")
-            },
-        }
-        return self.send(pack_result("hb", "-", json.dumps(snapshot).encode("utf-8")))
+        """Send a bare liveness frame; False once the dispatcher is gone."""
+        return self.send(pack_result("hb", "-", b""))
 
     def score(self, kind: str, job_id: str, request_id: str, payloads: list[bytes]) -> bytes:
         """Score one job into its result frame: ``ok`` with the verdicts,
@@ -298,10 +266,8 @@ class Shard:
         try:
             reply = score_job(self.pipeline, kind, request_id, payloads)
         except Exception as exc:  # shipped to the dispatcher, not swallowed
-            self.errors += 1
             descriptor = {"type": type(exc).__name__, "message": str(exc)}
             return pack_result("err", job_id, json.dumps(descriptor).encode("utf-8"))
-        self.submitted += len(reply["verdicts"])
         return pack_result("ok", job_id, json.dumps(reply).encode("utf-8"))
 
     def reply(self, frame: bytes) -> bool:
@@ -400,8 +366,9 @@ class _WorkerHandle:
         "consecutive_failures",
         "jobs",
         "jobs_done",
+        "scored",
+        "errors",
         "respawn_at",
-        "snapshot",
     )
 
     def __init__(self, worker_id, process, conn, restarts, consecutive) -> None:
@@ -418,8 +385,11 @@ class _WorkerHandle:
         #: in-flight job_id -> dispatch timestamp
         self.jobs: dict[str, float] = {}
         self.jobs_done = 0
+        #: counted from result frames as they arrive: the images answered
+        #: in ``ok`` results, and the ``err`` results
+        self.scored = 0
+        self.errors = 0
         self.respawn_at: float | None = None
-        self.snapshot: dict = {}
 
 
 _STOP_FRAME = pack_job("stop", "-", "-", [])
@@ -584,7 +554,7 @@ class WorkerPool:
             }
 
     def worker_status(self) -> list[dict]:
-        """One dict per shard: liveness, restarts, load, last snapshot."""
+        """One dict per shard: liveness, restarts, load, work counters."""
         now = time.monotonic()
         with self._lock:
             return [
@@ -597,7 +567,8 @@ class WorkerPool:
                     "inflight": len(handle.jobs),
                     "jobs_done": handle.jobs_done,
                     "heartbeat_age_s": now - handle.last_seen,
-                    "snapshot": dict(handle.snapshot),
+                    "scored": handle.scored,
+                    "errors": handle.errors,
                 }
                 for _, handle in sorted(self._workers.items())
             ]
@@ -626,11 +597,8 @@ class WorkerPool:
             )
             counters["worker.restarts"].append((labels, float(status["restarts"])))
             counters["worker.jobs_done"].append((labels, float(status["jobs_done"])))
-            snapshot = status["snapshot"]
-            counters["worker.scored"].append(
-                (labels, float(snapshot.get("submitted", 0)))
-            )
-            counters["worker.errors"].append((labels, float(snapshot.get("errors", 0))))
+            counters["worker.scored"].append((labels, float(status["scored"])))
+            counters["worker.errors"].append((labels, float(status["errors"])))
         return {"gauges": gauges, "counters": counters}
 
     # -- dispatch ------------------------------------------------------------
@@ -806,20 +774,9 @@ class WorkerPool:
                 handle.last_seen = time.monotonic()
                 handle.ready = True
                 handle.consecutive_failures = 0
-            if kind == "hb":
-                self._store_snapshot(handle, body)
-            else:
+            if kind != "hb":
                 self._complete(handle, job_id, kind, body)
         self._worker_down(handle, reason="worker pipe closed")
-
-    def _store_snapshot(self, handle: _WorkerHandle, body: bytes) -> None:
-        try:
-            snapshot = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            snapshot = {}
-        if isinstance(snapshot, dict):
-            with self._lock:
-                handle.snapshot = snapshot
 
     def _complete(
         self, handle: _WorkerHandle, job_id: str, kind: str, body: bytes
@@ -831,6 +788,10 @@ class WorkerPool:
             del self._jobs[job_id]
             handle.jobs.pop(job_id, None)
             handle.jobs_done += 1
+            if kind == "ok":
+                handle.scored += len(job.payloads)
+            else:
+                handle.errors += 1
         job.result_kind = kind
         job.body = body
         job.done.set()

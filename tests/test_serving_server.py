@@ -38,6 +38,7 @@ from repro.serving import (
     ProtectedPipeline,
     ServerConfig,
 )
+from repro.serving.eventloop import MAX_BODY_BYTES
 from repro.serving.wire import (
     IMAGE_CONTENT_TYPE,
     decode_image_payload,
@@ -595,8 +596,7 @@ class TestAdmissionControl:
         server = DetectionServer(
             pipeline,
             _server_config(
-                workers=0, max_active=1, queue_depth=0, deadline_ms=30_000,
-                retry_after_s=0.1,
+                workers=0, max_active=1, queue_depth=0, deadline_ms=30_000
             ),
         )
         server.start()
@@ -942,9 +942,7 @@ class TestFrontendParity:
         single = encode_image_payload(as_uint8(benign_images[0]))
         attack = encode_image_payload(as_uint8(attack_images[0]))
         batch = pack_batch([single, attack])
-        return _grid_cases(
-            single, attack, batch, ServerConfig().max_body_bytes
-        )
+        return _grid_cases(single, attack, batch, MAX_BODY_BYTES)
 
     @pytest.mark.parametrize("case", sorted(_GOLDEN["responses"]))
     def test_response_bytes_identical(self, parity_server, grid, case):

@@ -24,7 +24,7 @@ import repro.serving.workers as workers
 from repro.serving.wire import encode_image_payload, pack_job
 from repro.serving.workers import Shard, WorkerPool, WorkerPoolConfig, WorkerSpec
 
-from tests.conftest import MODEL_INPUT, wait_until
+from tests.conftest import MODEL_INPUT
 from tests.fault_injection import (
     FAST_POOL,
     calibrated_pipeline,
@@ -133,22 +133,64 @@ class TestPoolScoring:
         with pytest.raises(CodecError, match="bad-req"):
             pool.submit([b"definitely not an image"], request_id="bad-req")
 
-    def test_shard_stats_flow_back_in_heartbeats(self, pool_setup):
+    def test_shard_counters_move_while_the_shard_is_busy(self, pool_setup):
+        """Back-to-back jobs leave a shard no idle interval to heartbeat
+        in, so the per-shard counters must come from the result frames:
+        they are exact the moment the last ``submit`` returns."""
+        _, pipeline = pool_setup
+        pool = make_pool(pipeline, workers=1)
+
+        def total(family: str) -> float:
+            return sum(value for _, value in pool.labeled_families()["counters"][family])
+
+        try:
+            payload = encode_image_payload(as_uint8(holdout_images(1)[0]))
+            jobs = 12
+            for index in range(jobs):
+                pool.submit([payload], request_id=f"busy-{index}")
+            assert total("worker.scored") == jobs
+            assert total("worker.errors") == 0
+            with pytest.raises(CodecError):
+                pool.submit([b"not an image"], request_id="busy-bad")
+            assert total("worker.errors") == 1
+            assert total("worker.scored") == jobs
+            assert total("worker.jobs_done") == jobs + 1
+        finally:
+            pool.shutdown()
+
+    def test_concurrent_batches_count_every_image_once(self, pool_setup):
+        """Dispatch threads submit batches to both shards while their
+        receiver threads count: a batch adds one job and one image per
+        payload, and no count is lost."""
         pool, _ = pool_setup
         payload = encode_image_payload(as_uint8(holdout_images(1)[0]))
-        pool.submit([payload], request_id="hb-seed")
-        status = wait_until(
-            lambda: [
-                s
-                for s in pool.worker_status()
-                if s["snapshot"].get("submitted", 0) >= 1
-            ],
-            timeout_s=5.0,
-            message="a shard heartbeat carrying submitted >= 1",
-        )
-        snapshot = status[0]["snapshot"]
-        assert snapshot["submitted"] >= 1
-        assert snapshot["screen_ms"]["count"] >= 1
+
+        def totals() -> tuple[float, float]:
+            counters = pool.labeled_families()["counters"]
+            return tuple(
+                sum(value for _, value in counters[family])
+                for family in ("worker.scored", "worker.jobs_done")
+            )
+
+        def submitter(index: int) -> None:
+            for round_ in range(3):
+                pool.submit(
+                    [payload, payload], request_id=f"race-{index}-{round_}", batch=True
+                )
+
+        before = totals()
+        threads = [threading.Thread(target=submitter, args=(i,)) for i in range(6)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert totals() == (before[0] + 6 * 3 * 2, before[1] + 6 * 3)
 
     def test_labeled_families_cover_every_shard(self, pool_setup):
         pool, _ = pool_setup

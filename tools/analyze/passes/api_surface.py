@@ -145,6 +145,18 @@ DEPRECATED_NAMES: dict[str, dict] = {
         "disk_cols, disk_radial, disk_herm); annuli come from a centered crop",
         "allowed_owners": set(),
     },
+    # Shards no longer pre-warm the parent's plan and geometry caches at
+    # spawn, so nothing reads the cache keys.
+    **{
+        name: {"hint": "shards build plans on first use", "allowed_owners": set()}
+        for name in (
+            "plan_cache_keys",
+            "geometry_cache_keys",
+            "prewarm_caches",
+            "warm_plan_keys",
+            "warm_geometry_keys",
+        )
+    },
 }
 
 
