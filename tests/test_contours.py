@@ -6,6 +6,7 @@ from scipy import ndimage
 
 from repro.errors import ImageError
 from repro.imaging.contours import count_spectrum_points, find_regions, label_components
+from tests.labeling_oracle import label_components_bfs
 
 
 class TestLabelComponents:
@@ -60,6 +61,55 @@ class TestLabelComponents:
         _, ours = label_components(mask, connectivity=4)
         _, theirs = ndimage.label(mask)
         assert ours == theirs
+
+
+def _snake(side: int) -> np.ndarray:
+    """One serpentine path: full even rows joined at alternating ends, so
+    the run graph is a chain as long as the mask is tall."""
+    mask = np.zeros((side, side), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+def _adversarial_masks() -> dict[str, np.ndarray]:
+    """Masks that stress a labeler: most runs, most edges, longest chain."""
+    grid = np.indices((48, 48))
+    return {
+        "isolated-points": (grid[0] % 2 == 0) & (grid[1] % 2 == 0),
+        "checkerboard": grid.sum(axis=0) % 2 == 0,
+        "snake": _snake(48),
+        "random-half": np.random.default_rng(7).random((48, 48)) < 0.5,
+    }
+
+
+class TestAdversarialMasks:
+    """The vectorized union-find against the flood-fill oracle and scipy on
+    the masks a hostile spectrum can produce."""
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("name", sorted(_adversarial_masks()))
+    def test_matches_bfs_labels(self, name, connectivity):
+        mask = _adversarial_masks()[name]
+        labels, count = label_components(mask, connectivity=connectivity)
+        ref_labels, ref_count = label_components_bfs(mask, connectivity=connectivity)
+        assert count == ref_count
+        assert np.array_equal(labels, ref_labels)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("name", sorted(_adversarial_masks()))
+    def test_matches_scipy_partition(self, name, connectivity):
+        mask = _adversarial_masks()[name]
+        labels, count = label_components(mask, connectivity=connectivity)
+        structure = np.ones((3, 3)) if connectivity == 8 else None
+        theirs, their_count = ndimage.label(mask, structure=structure)
+        assert count == their_count
+        # scipy also numbers components by first pixel in row-major order.
+        assert np.array_equal(labels, theirs)
+
+    def test_snake_is_one_component(self):
+        assert label_components(_snake(48), connectivity=4)[1] == 1
 
 
 class TestRegions:

@@ -71,8 +71,8 @@ DEPRECATED_NAMES: dict[str, dict] = {
         "allowed_owners": set(),
     },
     "region_stats_from_points": {
-        "hint": "csp_count_fast labels with scipy.ndimage; dense masks use "
-        "label_runs + region_stats_from_runs",
+        "hint": "csp_count_fast labels the crop around its points with "
+        "label_runs; use label_runs + region_stats_from_runs",
         "allowed_owners": set(),
     },
     # The fused banded round trip was removed, so the plan's round trip
