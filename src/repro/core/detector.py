@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.core.thresholds import (
 from repro.errors import CalibrationError, DetectionError
 from repro.observability import Metrics
 
-__all__ = ["CALIBRATION_STRATEGIES", "Detector"]
+__all__ = ["CALIBRATION_STRATEGIES", "Detector", "score_image_major"]
 
 #: Strategies accepted by :meth:`Detector.calibrate`.
 CALIBRATION_STRATEGIES = ("percentile", "sigma", "midpoint")
@@ -219,3 +219,15 @@ class Detector(ABC):
     def is_attack(self, image: np.ndarray | ImageAnalysis) -> bool:
         """Convenience: just the boolean verdict."""
         return self.detect(image).is_attack
+
+
+def score_image_major(
+    analyses: Iterable[ImageAnalysis], detectors: Collection[Detector]
+) -> None:
+    """Memoize every detector's score on each analysis, then drop that
+    analysis's arrays before the next: calibration then holds one image's
+    working set, and thresholds come from the memoized scalars."""
+    for analysis in analyses:
+        for detector in detectors:
+            detector.score_from(analysis)
+        analysis.forget_arrays()
