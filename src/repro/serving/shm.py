@@ -109,14 +109,11 @@ class ShmRing:
 
     @classmethod
     def attach(cls, name: str) -> "ShmRing":
-        """Map an existing ring by name (the shard side).
+        """Map an existing ring by name.
 
-        Attaching re-registers the segment with the ``resource_tracker``,
-        but spawn children share the dispatcher's tracker process and its
-        cache is a set, so the re-register is a no-op; the owner's
-        :meth:`unlink` remains the single point that deregisters. (An
-        attach-side ``unregister`` here would strip the shared entry and
-        make the owner's later unlink trip a KeyError inside the tracker.)
+        Attaching registers the segment with the ``resource_tracker`` again,
+        a no-op in the creating process (the tracker's cache is a set), so
+        the owner's :meth:`unlink` stays the single point that deregisters.
         """
         shm = shared_memory.SharedMemory(name=name, create=False)
         try:

@@ -10,7 +10,8 @@ library's own codecs:
   (big-endian). Content type :data:`BATCH_CONTENT_TYPE`.
 
 The same length-prefixed framing carries the dispatcher ↔ worker-shard
-protocol over ``multiprocessing`` pipes (:mod:`repro.serving.workers`):
+protocol, one :func:`write_frame` record per frame on each shard's stdin
+and stdout (:mod:`repro.serving.workers`):
 
 * a **job** frame is ``[kind, job_id, request_id, *image payloads]``
   (:func:`pack_job` / :func:`unpack_job`), ``kind`` one of
@@ -42,6 +43,7 @@ __all__ = [
     "METRICS_CONTENT_TYPE",
     "JOB_KINDS",
     "RESULT_KINDS",
+    "MAX_FRAME_BYTES",
     "decode_image_payload",
     "encode_image_payload",
     "pack_batch",
@@ -50,6 +52,8 @@ __all__ = [
     "unpack_job",
     "pack_result",
     "unpack_result",
+    "read_frame",
+    "write_frame",
 ]
 
 #: Content type of a single raw image body (the codec is sniffed anyway).
@@ -112,7 +116,7 @@ def unpack_batch(data: bytes, *, origin: str = "<body>") -> list[bytes]:
 
 
 #: Job kinds a dispatcher may send to a worker shard.
-JOB_KINDS = ("single", "batch", "stop")
+JOB_KINDS = ("single", "batch")
 #: Result kinds a worker shard may send back.
 RESULT_KINDS = ("ok", "err", "hb")
 
@@ -163,3 +167,37 @@ def unpack_result(data: bytes, *, origin: str = "<result>") -> tuple[str, str, b
         raise CodecError(f"{origin}: unknown result kind {kind!r}")
     job_id = _decode_field(frames[1], origin=origin, what="job id")
     return kind, job_id, frames[2]
+
+
+#: Largest frame either side of a shard pipe accepts: a 64 MiB body (the
+#: front end's cap) plus ids from a request head of at most 64 KiB.
+MAX_FRAME_BYTES = 65 << 20
+
+
+def write_frame(stream, frame: bytes) -> None:
+    """Write one ``length:uint32 + frame`` record whole to an unbuffered
+    binary *stream*."""
+    view = memoryview(struct.pack(">I", len(frame)) + frame)
+    while view:
+        view = view[stream.write(view) :]
+
+
+def read_frame(stream, *, origin: str = "<pipe>") -> bytes | None:
+    """Read one record off an unbuffered binary *stream*: None at an end
+    of file, a short read included, and CodecError for a declared length
+    over :data:`MAX_FRAME_BYTES`, before reading on."""
+    header = _read_exact(stream, 4)
+    if header is None:
+        return None
+    (length,) = struct.unpack(">I", header)
+    if length > MAX_FRAME_BYTES:
+        raise CodecError(f"{origin}: frame declares {length} bytes, over the cap")
+    return _read_exact(stream, length)
+
+
+def _read_exact(stream, size: int) -> bytes | None:
+    chunks = []
+    while size and (chunk := stream.read(size)):
+        chunks.append(chunk)
+        size -= len(chunk)
+    return None if size else b"".join(chunks)

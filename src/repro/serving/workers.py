@@ -1,8 +1,8 @@
 """Process-based scoring shards behind the detection server.
 
 Scoring in-process behind a thread pool leaves one Python process
-GIL-bound on SSIM/FFT math. This module shards scoring across
-``multiprocessing`` worker processes, each owning its own calibrated
+GIL-bound on SSIM/FFT math. This module shards scoring across plain
+child processes, each owning its own calibrated
 :class:`~repro.serving.pipeline.ProtectedPipeline`, while the server's
 dispatch threads become thin dispatchers speaking the
 :mod:`repro.serving.wire` framing:
@@ -23,10 +23,11 @@ dispatch threads become thin dispatchers speaking the
   calibrated pipeline and nothing else. It runs jobs and replies, and
   sends a bare liveness heartbeat whenever idle for one interval.
 
-Every frame rides the shard's ``multiprocessing`` pipe whole: jobs, stop
-frames, results and heartbeats alike. A shard killed part-way through a
-frame leaves the dispatcher an end of file, and the jobs it held are
-requeued once.
+A shard is a ``subprocess`` child: spec and jobs ride its stdin, results
+and heartbeats its stdout, each frame whole. A shard killed part-way
+through a frame leaves the dispatcher an end of file, and the jobs it held
+are requeued once. The end of its stdin stops a shard, whether shutdown
+closed it or the dispatcher died.
 
 Division of labour: shards screen and write quarantine artifacts (they
 hold the memoized analysis intermediates) and never record; the
@@ -41,9 +42,11 @@ while a shard is busy.
 from __future__ import annotations
 
 import json
-import multiprocessing
+import os
 import pickle
 import select
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -58,8 +61,10 @@ from repro.serving.wire import (
     decode_image_payload,
     pack_job,
     pack_result,
+    read_frame,
     unpack_job,
     unpack_result,
+    write_frame,
 )
 
 __all__ = [
@@ -204,7 +209,8 @@ def score_job(
 
 
 class Shard:
-    """One shard process: score jobs, heartbeat when idle, exit on stop.
+    """One shard process: score jobs, heartbeat when idle, exit at the end
+    of its stdin.
 
     It holds its calibrated pipeline and nothing else: every per-shard
     number is counted by the dispatcher from the frames it receives.
@@ -214,13 +220,15 @@ class Shard:
 
     def __init__(
         self,
-        conn,
+        frames_in,
+        frames_out,
         spec: WorkerSpec,
         worker_id: int,
         restarts: int,
         heartbeat_interval_s: float,
     ) -> None:
-        self.conn = conn
+        self.frames_in = frames_in  # unbuffered, so ``select`` sees every frame
+        self.frames_out = frames_out
         self.worker_id = worker_id
         #: 0 for a shard's first incarnation, n after its nth respawn.
         self.restarts = restarts
@@ -230,29 +238,36 @@ class Shard:
 
     @classmethod
     def main(cls, *args) -> None:
-        """Spawn target (see :attr:`WorkerPool.shard_main`): set the
-        scoring malloc thresholds, build the shard inside the child
-        process and run it."""
+        """Entry point of :attr:`WorkerPool.shard_command`; *args* go to the
+        constructor ahead of the pipes and the spec frame's fields."""
         keep_scoring_arrays_on_heap()
-        cls(*args).run()
+        # Frames leave through a private copy of fd 1; fd 1 itself points at
+        # stderr, so a stray print cannot tear a frame.
+        frames_out = open(os.dup(1), "wb", buffering=0)
+        os.dup2(2, 1)
+        frames_in = open(0, "rb", buffering=0, closefd=False)
+        first = read_frame(frames_in, origin="spec")
+        if first is not None:  # None: the dispatcher left before sending it
+            cls(*args, frames_in, frames_out, *pickle.loads(first)).run()
 
     def run(self) -> None:
-        """Serve jobs until a stop frame arrives or the dispatcher is gone."""
+        """Serve jobs, those already in the pipe included, until stdin ends."""
         while True:
-            if not self.conn.poll(self.heartbeat_interval_s):
+            readable, _, _ = select.select([self.frames_in], [], [], self.heartbeat_interval_s)
+            if not readable:
                 if not self.heartbeat():
                     return
                 continue
             try:
-                frame = self.conn.recv_bytes()
-            except (EOFError, OSError):
-                return
+                frame = read_frame(self.frames_in, origin=self.origin)
+            except (CodecError, OSError):
+                return  # an oversized header leaves the stream unframed
+            if frame is None:
+                return  # the dispatcher closed stdin, or is gone
             try:
                 kind, job_id, request_id, payloads = unpack_job(frame, origin=self.origin)
             except CodecError:
                 continue  # dispatcher bug; the job times out and fails over
-            if kind == "stop":
-                return
             if not self.reply(self.score(kind, job_id, request_id, payloads)):
                 return
 
@@ -275,9 +290,9 @@ class Shard:
         return self.send(frame)
 
     def send(self, frame: bytes) -> bool:
-        """Write one frame to the pipe; False once the dispatcher is gone."""
+        """Write one frame to stdout; False once the dispatcher is gone."""
         try:
-            self.conn.send_bytes(frame)
+            write_frame(self.frames_out, frame)
         except (OSError, ValueError):
             return False
         return True
@@ -356,7 +371,6 @@ class _WorkerHandle:
     __slots__ = (
         "worker_id",
         "process",
-        "conn",
         "send_lock",
         "up",
         "ready",
@@ -371,10 +385,9 @@ class _WorkerHandle:
         "respawn_at",
     )
 
-    def __init__(self, worker_id, process, conn, restarts, consecutive) -> None:
+    def __init__(self, worker_id, process, restarts, consecutive) -> None:
         self.worker_id = worker_id
-        self.process = process
-        self.conn = conn
+        self.process = process  # a ``subprocess.Popen`` with stdin and stdout pipes
         self.send_lock = threading.Lock()
         self.up = True
         self.ready = False
@@ -390,9 +403,6 @@ class _WorkerHandle:
         self.scored = 0
         self.errors = 0
         self.respawn_at: float | None = None
-
-
-_STOP_FRAME = pack_job("stop", "-", "-", [])
 
 
 def _error_from_wire(body: bytes) -> Exception:
@@ -419,17 +429,15 @@ class WorkerPool:
     """N scoring shards plus the lifecycle that keeps them answering.
 
     Thread-safety: ``_lock`` guards the worker table, the job table, and
-    the closed/started flags. Pipe sends serialize on each handle's own
-    ``send_lock``; pipe receives happen on one receiver thread per shard.
-    Process spawning, joining, and pipe I/O all happen outside ``_lock``.
+    the closed/started flags. Writes to a shard's stdin serialize on its
+    handle's ``send_lock``; its stdout is read by one receiver thread.
+    Process spawning, reaping, and pipe I/O all happen outside ``_lock``.
     """
 
-    #: Spawn target of every shard process, called in the child as
-    #: ``shard_main(conn, spec, worker_id, restarts, heartbeat_interval_s)``.
-    #: It crosses the spawn boundary by
-    #: pickle, so it must be importable by reference (a module-level
-    #: function, a classmethod, or a ``functools.partial`` of one).
-    shard_main = Shard.main
+    #: argv of every shard, run with the dispatcher's ``-W`` options and
+    #: ``sys.path``. Its first stdin frame is the pickled ``(spec,
+    #: worker_id, restarts, heartbeat_interval_s)``.
+    shard_command = (sys.executable, "-c", "from repro.serving.workers import Shard; Shard.main()")
 
     def __init__(
         self,
@@ -443,7 +451,6 @@ class WorkerPool:
         if self.config.workers < 1:
             raise ReproError(f"workers must be >= 1, got {self.config.workers}")
         self.metrics = metrics or Metrics()
-        self._context = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._workers: dict[int, _WorkerHandle] = {}
         self._jobs: dict[str, _Job] = {}
@@ -472,8 +479,9 @@ class WorkerPool:
         self._monitor_thread.start()
 
     def shutdown(self) -> None:
-        """Graceful drain: stop every shard, join, kill stragglers, and
-        fail any job that somehow remained in flight."""
+        """Graceful drain: close every shard's stdin, wait for the shards to
+        answer what they hold and exit, kill stragglers, and fail any job
+        that somehow remained in flight."""
         with self._lock:
             if self._closed:
                 return
@@ -482,16 +490,22 @@ class WorkerPool:
         self._wake.set()
         deadline = time.monotonic() + self.config.drain_timeout_s
         for handle in handles:
-            if handle.up and not self._send_stop(handle, deadline):
+            if not handle.send_lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
                 # A dispatch thread is blocked writing a frame this shard
                 # is too busy to read: killing the shard fails that send
                 # with EPIPE, and the down-path answers its jobs.
                 handle.process.kill()
+                continue
+            try:
+                handle.process.stdin.close()
+            finally:
+                handle.send_lock.release()
         for handle in handles:
-            handle.process.join(max(0.0, deadline - time.monotonic()))
-            if handle.process.is_alive():
+            try:
+                handle.process.wait(max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
                 handle.process.kill()
-                handle.process.join(1.0)
+                handle.process.wait()
             self._close_pipe(handle)
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=2.0)
@@ -503,39 +517,15 @@ class WorkerPool:
             job.done.set()
 
     @staticmethod
-    def _send_stop(handle: _WorkerHandle, deadline: float) -> bool:
-        """Send one shard its stop frame; False when the send lock or room
-        in the pipe cannot be had before *deadline*."""
-        if not handle.send_lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
-            return False
-        try:
-            # Writable means the socket buffer has room for the tiny stop
-            # frame, so the send below cannot block on a busy shard.
-            _, writable, _ = select.select(
-                [], [handle.conn], [], max(0.0, deadline - time.monotonic())
-            )
-            if not writable:
-                return False
-            handle.conn.send_bytes(_STOP_FRAME)
-        except (OSError, ValueError):
-            pass  # already dead; join/kill in shutdown handles it
-        finally:
-            handle.send_lock.release()
-        return True
-
-    @staticmethod
     def _close_pipe(handle: _WorkerHandle) -> None:
-        """Close the dispatcher's end of a shard's pipe between sends.
+        """Close the dispatcher's end of a shard's stdin between sends.
 
         Closing under a sender would let its next write hit a closed, or
         reused, fd. Callers make the shard exit first, so a sender blocked
         on it fails with EPIPE and lets go of the lock.
         """
         with handle.send_lock:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass  # receiver already closed it
+            handle.process.stdin.close()
 
     # -- introspection -------------------------------------------------------
 
@@ -685,7 +675,7 @@ class WorkerPool:
             return
         try:
             with handle.send_lock:
-                handle.conn.send_bytes(frame)
+                write_frame(handle.process.stdin, frame)
         except (OSError, ValueError):
             # The pipe died under us: the down-path requeues (or fails)
             # every job this shard held, including the one just registered.
@@ -704,7 +694,8 @@ class WorkerPool:
                 self._jobs[job_id] for job_id in handle.jobs if job_id in self._jobs
             ]
             handle.jobs.clear()
-            if not self._closed:
+            closing = self._closed
+            if not closing:
                 backoff = min(
                     self.config.restart_backoff_base_s
                     * (2 ** min(handle.consecutive_failures, 16)),
@@ -712,9 +703,10 @@ class WorkerPool:
                 )
                 handle.respawn_at = time.monotonic() + backoff
         self.metrics.counter("workers.deaths").add(1)
-        if handle.process.is_alive():
-            handle.process.terminate()
+        if not closing:
+            handle.process.kill()  # a no-op on a shard that already exited
         self._close_pipe(handle)
+        handle.process.wait()  # reaped here, never left a zombie
         self._wake.set()
         for job in orphans:
             self._failover(job, exclude=handle.worker_id, reason=reason)
@@ -757,14 +749,15 @@ class WorkerPool:
     # -- per-shard receiver --------------------------------------------------
 
     def _receive_loop(self, handle: _WorkerHandle) -> None:
+        origin = f"worker-{handle.worker_id}"
         while True:
             try:
-                frame = handle.conn.recv_bytes()
-            except (EOFError, OSError):
-                break
-            origin = f"worker-{handle.worker_id}"
-            try:
+                frame = read_frame(handle.process.stdout, origin=origin)
+                if frame is None:
+                    break
                 kind, job_id, body = unpack_result(frame, origin=origin)
+            except OSError:
+                break
             except CodecError:
                 # A shard emitting unparseable frames can no longer be
                 # trusted to pair results with jobs: recycle it.
@@ -776,6 +769,7 @@ class WorkerPool:
                 handle.consecutive_failures = 0
             if kind != "hb":
                 self._complete(handle, job_id, kind, body)
+        handle.process.stdout.close()  # this thread is its only reader
         self._worker_down(handle, reason="worker pipe closed")
 
     def _complete(
@@ -799,22 +793,20 @@ class WorkerPool:
     # -- spawn + monitor -----------------------------------------------------
 
     def _spawn_worker(self, worker_id: int, *, restarts: int, consecutive: int) -> None:
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=self.shard_main,
-            args=(
-                child_conn,
-                self.spec,
-                worker_id,
-                restarts,
-                self.config.heartbeat_interval_s,
-            ),
-            name=f"decamouflage-worker-{worker_id}",
-            daemon=True,
+        command = self.shard_command
+        process = subprocess.Popen(
+            [command[0], *(f"-W{option}" for option in sys.warnoptions), *command[1:]],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            bufsize=0,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
-        process.start()
-        child_conn.close()
-        handle = _WorkerHandle(worker_id, process, parent_conn, restarts, consecutive)
+        spec = (self.spec, worker_id, restarts, self.config.heartbeat_interval_s)
+        try:
+            write_frame(process.stdin, pickle.dumps(spec))
+        except OSError:
+            pass  # the child is gone already; its receiver reads the end of file
+        handle = _WorkerHandle(worker_id, process, restarts, consecutive)
         with self._lock:
             aborted = self._closed
             if not aborted:
@@ -822,12 +814,10 @@ class WorkerPool:
         if aborted:
             # Shutdown won the race with this respawn: reap the process
             # instead of leaking it past the pool's lifetime.
-            try:
-                parent_conn.close()
-            except OSError:
-                pass  # never opened far enough to matter
             process.kill()
-            process.join(1.0)
+            process.wait()
+            process.stdin.close()
+            process.stdout.close()
             return
         receiver = threading.Thread(
             target=self._receive_loop,
@@ -873,8 +863,8 @@ class WorkerPool:
 
     def _death_reason_locked(self, handle: _WorkerHandle, now: float) -> str | None:
         """Liveness verdict for one live handle (caller holds the lock)."""
-        if not handle.process.is_alive():
-            return f"worker process exited (code {handle.process.exitcode})"
+        if handle.process.poll() is not None:
+            return f"worker process exited (code {handle.process.returncode})"
         if handle.jobs:
             oldest = min(handle.jobs.values())
             if now - oldest > self.config.job_timeout_s:

@@ -3,12 +3,13 @@
 Four families of controlled failure, all stdlib:
 
 * :class:`Fault` / :class:`FaultyShard` — typed shard faults (kill,
-  kill-after, kill-mid-frame, mute, garbage, slow; one shard or
+  kill-after, kill-mid-frame, mute, garbage, slow, chatty; one shard or
   :data:`EVERY_SHARD`) played by a :class:`~repro.serving.workers.Shard`
-  subclass. Monkeypatching does not cross a spawn boundary, so the faults
-  travel to the child as the pickled arguments of the pool's spawn target
-  (:func:`faulty_shard_main`); :func:`make_pool` installs it on one pool,
-  and server-level tests monkeypatch ``WorkerPool.shard_main`` itself.
+  subclass. A shard is a fresh interpreter, so monkeypatching does not
+  reach it: the faults travel in the argv of the command the pool starts
+  (:func:`faulty_shard_command`); :func:`make_pool` installs it on one
+  pool, and server-level tests monkeypatch ``WorkerPool.shard_command``
+  itself.
 * :func:`tear_slot` / :func:`flip_byte` / :func:`free_all_slots` — edit
   a live :class:`~repro.serving.shm.ShmRing` segment the way a writer
   dying mid-copy or a stray byte would (the ring's own property tests).
@@ -27,10 +28,11 @@ and ``tests/test_shm_properties.py``.
 from __future__ import annotations
 
 import enum
-import functools
+import json
 import os
 import socket
 import struct
+import sys
 import threading
 import time
 import zlib
@@ -75,7 +77,7 @@ def make_pool(
         WorkerSpec.from_pipeline(pipeline), config, metrics=pipeline.metrics
     )
     if faults:
-        pool.shard_main = faulty_shard_main(faults)
+        pool.shard_command = faulty_shard_command(faults)
     pool.start()
     return pool
 
@@ -96,6 +98,8 @@ class FaultKind(enum.Enum):
     GARBAGE = "garbage"
     #: sleep ``seconds`` before scoring
     SLOW = "slow"
+    #: print to stdout before scoring
+    CHATTY = "chatty"
 
 
 #: :attr:`Fault.worker` value that targets every shard.
@@ -130,9 +134,16 @@ def shard_faults(faults, worker_id: int) -> dict[FaultKind, Fault]:
     return {fault.kind: fault for fault in faults if fault.hits(worker_id)}
 
 
-def faulty_shard_main(faults):
-    """A ``WorkerPool.shard_main`` whose shards play *faults*."""
-    return functools.partial(FaultyShard.main, tuple(faults))
+def faulty_shard_command(faults) -> tuple[str, ...]:
+    """A ``WorkerPool.shard_command`` whose shards play *faults*, which
+    ride its last argument as JSON."""
+    plan = json.dumps([[fault.kind.value, fault.worker, fault.seconds] for fault in faults])
+    return (
+        sys.executable,
+        "-c",
+        "from tests.fault_injection import FaultyShard; FaultyShard.main()",
+        plan,
+    )
 
 
 class FaultyShard(Shard):
@@ -144,6 +155,13 @@ class FaultyShard(Shard):
         super().__init__(*args)
         self.faults = {} if self.restarts else shard_faults(faults, self.worker_id)
         self.heartbeats_sent = 0
+
+    @classmethod
+    def main(cls) -> None:
+        """Entry point of :func:`faulty_shard_command`: the faults are the
+        command's last argument."""
+        plan = json.loads(sys.argv[-1])
+        super().main([Fault(FaultKind(kind), worker, seconds) for kind, worker, seconds in plan])
 
     def heartbeat(self) -> bool:
         if FaultKind.MUTE in self.faults and self.heartbeats_sent >= 1:
@@ -157,27 +175,32 @@ class FaultyShard(Shard):
         slow = self.faults.get(FaultKind.SLOW)
         if slow is not None:
             time.sleep(slow.seconds)
+        if FaultKind.CHATTY in self.faults:
+            print(f"shard {self.worker_id} scoring {job_id}", flush=True)
         return super().score(kind, job_id, request_id, payloads)
 
     def reply(self, frame) -> bool:
         if FaultKind.KILL_MID_FRAME in self.faults:
             # The nastiest crash window: the dispatcher has read a length
             # header promising a whole frame, and the shard dies half-way
-            # through its bytes (the ``Connection.send_bytes`` framing, a
-            # 4-byte big-endian length, written raw). The dispatcher must
-            # see an end of file, recycle this shard, and requeue the job
-            # exactly once.
+            # through its bytes (``repro.serving.wire.write_frame``'s
+            # framing, a 4-byte big-endian length, written raw). The
+            # dispatcher must see an end of file, recycle this shard, and
+            # requeue the job exactly once.
             try:
                 os.write(
-                    self.conn.fileno(),
-                    struct.pack("!i", len(frame)) + frame[: len(frame) // 2],
+                    self.frames_out.fileno(),
+                    struct.pack(">I", len(frame)) + frame[: len(frame) // 2],
                 )
             finally:
                 os._exit(172)
         if FaultKind.KILL_AFTER in self.faults:
             os._exit(171)  # simulated crash after scoring, before replying
         if FaultKind.GARBAGE in self.faults:
-            return self.send(b"\xde\xad\xbe\xef" + os.urandom(24))
+            # Read as a header, these bytes declare a ~3.7 GB frame: over
+            # the wire's cap, so the dispatcher allocates nothing for it.
+            os.write(self.frames_out.fileno(), b"\xde\xad\xbe\xef" + os.urandom(24))
+            return True
         return super().reply(frame)
 
 

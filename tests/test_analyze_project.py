@@ -188,6 +188,16 @@ def test_taint_good_is_clean():
     assert result.findings == []
 
 
+def test_taint_frame_reader_is_a_source():
+    result = analyze(["taintwire_frame_bad.py"], rules=["taint-wire"])
+    assert codes_of(result) == {"raw-ndarray-sink"}
+
+
+def test_taint_decoded_frame_is_clean():
+    result = analyze(["taintwire_frame_good.py"], rules=["taint-wire"])
+    assert result.findings == []
+
+
 # -- project findings: fingerprints, suppression, changed-only ---------------
 
 

@@ -7,15 +7,19 @@ its import graph and its calibration transient are a per-process floor:
   interpreter that imports the server, calibrates a pipeline, and scores an
   image whose spectrum reaches the CSP crop labeler;
 * calibration holds one image's working set at a time, so its traced peak
-  does not grow with the size of the holdout.
+  does not grow with the size of the holdout;
+* a sharded dispatcher imports no ``multiprocessing`` and has no children
+  but its shards, and the shards end with it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -91,3 +95,87 @@ def test_calibration_peak_does_not_grow_with_the_holdout():
     small = _calibration_peak(images[:6])
     large = _calibration_peak(images)
     assert large <= 1.25 * small, (small, large)
+
+
+_POOL_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import os
+    import sys
+
+    sys.path.insert(0, sys.argv[1])
+
+    import numpy as np
+
+    from repro.datasets.synthetic import generate_image
+    from repro.serving import ProtectedPipeline
+    from repro.serving.wire import encode_image_payload
+    from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec
+
+    rng = np.random.default_rng(0)
+    images = [generate_image((64, 64), rng) for _ in range(5)]
+    pipeline = ProtectedPipeline((16, 16))
+    pipeline.calibrate(images[:4], percentile=5.0)
+    pool = WorkerPool(WorkerSpec.from_pipeline(pipeline), WorkerPoolConfig(workers=2))
+    pool.start()
+    reply = pool.submit([encode_image_payload(images[4])], request_id="footprint")
+    assert len(reply["verdicts"]) == 1
+    children = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                ppid = stat.read().rpartition(")")[2].split()[1]
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # ended between the listing and the read
+        if int(ppid) == os.getpid():
+            children.append(int(pid))
+    print(json.dumps({
+        "multiprocessing": "multiprocessing" in sys.modules,
+        "children": sorted(children),
+        "shards": sorted(pool.pids().values()),
+    }), flush=True)
+    sys.stdin.read()  # until the test kills this process
+    """
+)
+
+
+def _running(pid: int) -> bool:
+    """True while *pid* exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+def test_shards_are_the_only_children_and_end_with_the_dispatcher():
+    """A fresh interpreter, started without ``PYTHONPATH``, finds ``src``
+    by a ``sys.path`` edit, starts two shards and scores one image. It
+    imports no ``multiprocessing``, its only children are the two shards
+    (no resource tracker), and a SIGKILL of it ends both shards: their
+    stdin reaches its end."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    dispatcher = subprocess.Popen(
+        [sys.executable, "-c", _POOL_SCRIPT, str(SRC)],
+        env=env,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        line = dispatcher.stdout.readline()
+        assert line, dispatcher.stderr.read() if dispatcher.poll() is not None else "no report"
+        report = json.loads(line)
+    finally:
+        dispatcher.kill()
+        dispatcher.wait()
+        for stream in (dispatcher.stdin, dispatcher.stdout, dispatcher.stderr):
+            stream.close()
+    assert report["multiprocessing"] is False
+    assert len(report["shards"]) == 2
+    assert report["children"] == report["shards"]
+    deadline = time.monotonic() + 5.0
+    while any(map(_running, report["shards"])) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, report["shards"])), report["shards"]

@@ -7,8 +7,8 @@ recovery contract: requeue exactly once, respawn under bounded backoff,
 no lost or duplicated verdicts, clean 503s when nothing can answer.
 
 Faults travel as typed :class:`~tests.fault_injection.Fault` values
-played by a shard subclass the pool spawns (monkeypatching does not
-survive a spawn), or as real signals against pids from
+played by a shard subclass whose command the pool starts (monkeypatching
+does not reach a fresh interpreter), or as real signals against pids from
 :meth:`WorkerPool.pids`.
 """
 
@@ -28,6 +28,7 @@ from repro.errors import DetectionError
 from repro.imaging.image import as_uint8
 from repro.serving import DetectionClient, DetectionServer, ServerConfig
 from repro.serving import server as server_module
+from repro.serving.pipeline import verdict_payload
 from repro.serving.wire import encode_image_payload
 from repro.serving.workers import WorkerPool, WorkerPoolConfig
 
@@ -38,7 +39,7 @@ from tests.fault_injection import (
     Fault,
     FaultKind,
     calibrated_pipeline,
-    faulty_shard_main,
+    faulty_shard_command,
     make_pool,
     shard_faults,
 )
@@ -227,6 +228,32 @@ class TestRespawn:
             pool.shutdown()
 
 
+class TestStdoutHygiene:
+    def test_prints_in_a_shard_do_not_tear_frames(self, benign_images, attack_images):
+        """A shard that prints to stdout before every score: its stdout
+        carries frames only, so the print lands on stderr, the verdicts
+        are the in-process ones bit for bit, and no frame is garbage."""
+        pipeline = calibrated_pipeline(benign_images)
+        pool = make_pool(pipeline, workers=2, faults=[Fault(FaultKind.CHATTY, EVERY_SHARD)])
+        try:
+            for index, source in enumerate((benign_images[0], attack_images[0]) * 2):
+                image = as_uint8(source)
+                request_id = f"req-chatty-{index}"
+                reply = pool.submit([encode_image_payload(image)], request_id=request_id)
+                local = verdict_payload(
+                    pipeline.submit(image, image_id=request_id),
+                    request_id=request_id,
+                    latency_ms=0.0,
+                )
+                remote = dict(reply["verdicts"][0])
+                remote["latency_ms"] = 0.0  # only timing may differ
+                assert remote == local
+            assert pipeline.metrics.counter("workers.garbage_frames").value == 0
+            assert pipeline.metrics.counter("workers.deaths").value == 0
+        finally:
+            pool.shutdown()
+
+
 class TestMidFrameKill:
     def test_kill_mid_frame_requeues_once_and_answers(self, benign_images, payload):
         """Worker 0 dies half-way through writing its reply to the pipe,
@@ -249,7 +276,7 @@ class TestMidFrameKill:
 
 class TestShutdownBound:
     def test_shutdown_does_not_wait_on_a_blocked_sender(self, benign_images):
-        """A dispatch thread writing a frame larger than the socket buffer
+        """A dispatch thread writing a frame larger than the pipe buffer
         to a busy shard holds that shard's send lock until the shard reads
         the frame. Shutdown must not wait for it past the drain deadline:
         it kills the shard, the blocked send fails, and both callers get
@@ -290,7 +317,7 @@ class TestShutdownBound:
                     message=f"{request_id} to be dispatched",
                 )
             # Job A sits in the slow shard's score step; job B's send is
-            # blocked on the full socket buffer, holding the send lock.
+            # blocked on the full pipe buffer, holding the send lock.
             wait_until(
                 lambda: pool._workers[0].send_lock.locked(),
                 timeout_s=10.0,
@@ -477,7 +504,7 @@ class TestServerUnderFaults:
         the service answers again."""
         pipeline = calibrated_pipeline(benign_images)
         monkeypatch.setattr(
-            WorkerPool, "shard_main", faulty_shard_main([Fault(FaultKind.KILL, 0)])
+            WorkerPool, "shard_command", faulty_shard_command([Fault(FaultKind.KILL, 0)])
         )
         _fast_server_pool(monkeypatch)
         server = DetectionServer(pipeline, ServerConfig(port=0, workers=1))
@@ -511,7 +538,7 @@ class TestServerUnderFaults:
     def test_health_reports_worker_outage(self, benign_images, monkeypatch):
         pipeline = calibrated_pipeline(benign_images)
         monkeypatch.setattr(
-            WorkerPool, "shard_main", faulty_shard_main([Fault(FaultKind.MUTE, 0)])
+            WorkerPool, "shard_command", faulty_shard_command([Fault(FaultKind.MUTE, 0)])
         )
         # Backoff far past the test horizon: the outage stays observable
         # instead of healing under the assertion.

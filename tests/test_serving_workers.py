@@ -1,7 +1,7 @@
 """Shard-pool tests: parity, dispatch accounting, and lifecycle.
 
-These spawn real worker processes (``multiprocessing`` spawn context), so
-the pool fixtures are module-scoped and kept small. Crash/fault behaviour
+These start real shard processes (fresh interpreters on pipes), so the
+pool fixtures are module-scoped and kept small. Crash/fault behaviour
 lives in ``tests/test_serving_faults.py``; this file covers the sunny-day
 contract: sharded verdicts are bit-for-bit the in-process ones, and
 ``ProtectedPipeline.record`` keeps the books from their wire verdicts.
@@ -10,7 +10,9 @@ contract: sharded verdicts are bit-for-bit the in-process ones, and
 from __future__ import annotations
 
 import json
-import multiprocessing
+import os
+import pickle
+import subprocess
 import sys
 import threading
 
@@ -20,9 +22,14 @@ from repro.errors import CodecError, DetectionError, ReproError
 from repro.imaging.image import as_uint8
 from repro.serving.audit import AuditLog, AuditRecord
 from repro.serving.pipeline import ProtectedPipeline, verdict_payload
-import repro.serving.workers as workers
-from repro.serving.wire import encode_image_payload, pack_job
-from repro.serving.workers import Shard, WorkerPool, WorkerPoolConfig, WorkerSpec
+from repro.serving.wire import (
+    encode_image_payload,
+    pack_job,
+    read_frame,
+    unpack_result,
+    write_frame,
+)
+from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec
 
 from tests.conftest import MODEL_INPUT
 from tests.fault_injection import (
@@ -75,23 +82,66 @@ class TestWorkerSpec:
             assert detector.metrics is not None
 
 
+#: A shard whose entry point records that the scoring malloc thresholds
+#: are set before it serves; the child asserts the order as it exits.
+_RECORDING_SHARD = """
+from repro.serving import workers
+
+steps = []
+set_thresholds = workers.keep_scoring_arrays_on_heap
+serve = workers.Shard.run
+
+
+def recording_thresholds():
+    steps.append("heap")
+    set_thresholds()
+
+
+def recording_run(shard):
+    steps.append("serve")
+    serve(shard)
+
+
+workers.keep_scoring_arrays_on_heap = recording_thresholds
+workers.Shard.run = recording_run
+workers.Shard.main()
+assert steps == ["heap", "serve"], steps
+"""
+
+
 class TestShardMain:
-    def test_spawn_target_keeps_scoring_arrays_on_heap(self, benign_images, monkeypatch):
-        """The shard's spawn target sets the scoring malloc thresholds
-        before it serves, as ``repro serve`` does in its own process."""
-        calls = []
-        monkeypatch.setattr(
-            workers, "keep_scoring_arrays_on_heap", lambda: calls.append("heap")
+    def test_shard_keeps_scoring_arrays_on_heap_and_exits_on_eof(self, benign_images):
+        """A shard driven over real pipes: it sets the scoring malloc
+        thresholds before it serves, as ``repro serve`` does in its own
+        process, answers the job already in its stdin, and exits 0 at the
+        end of its stdin."""
+        pipeline = calibrated_pipeline(benign_images)
+        spec = WorkerSpec.from_pipeline(pipeline)
+        image = as_uint8(benign_images[0])
+        shard = subprocess.Popen(
+            [sys.executable, "-c", _RECORDING_SHARD],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         )
-        spec = WorkerSpec.from_pipeline(calibrated_pipeline(benign_images))
-        dispatcher, shard = multiprocessing.Pipe()
-        dispatcher.send_bytes(pack_job("stop", "-", "-", []))
         try:
-            Shard.main(shard, spec, 0, 0, 0.05)
+            write_frame(shard.stdin, pickle.dumps((spec, 0, 0, 60.0)))
+            write_frame(shard.stdin, pack_job("single", "j1", "eof", [encode_image_payload(image)]))
+            shard.stdin.close()
+            kind, job_id, body = unpack_result(read_frame(shard.stdout))
+            assert read_frame(shard.stdout) is None
+            assert shard.wait(timeout=60.0) == 0, shard.stderr.read().decode()
         finally:
-            dispatcher.close()
-            shard.close()
-        assert calls == ["heap"]
+            shard.kill()
+            shard.wait()
+            shard.stdout.close()
+            shard.stderr.close()
+        assert (kind, job_id) == ("ok", "j1")
+        (verdict,) = json.loads(body)["verdicts"]
+        local = verdict_payload(pipeline.submit(image, image_id="eof"), request_id="eof", latency_ms=0.0)
+        assert {**verdict, "latency_ms": 0.0} == local
 
 
 class TestPoolScoring:
@@ -236,8 +286,8 @@ class TestPipeFrames:
         try:
             images = [as_uint8(holdout_images(1)[0]), as_uint8(attack_images[0])]
             payloads = [encode_image_payload(image) for image in images]
-            # Over 1 MiB of batch body: the send fills the socket buffer
-            # and must block part-way until the shard reads.
+            # Over 1 MiB of batch body: the send fills the pipe buffer and
+            # must block part-way until the shard reads.
             repeats = (1 << 20) // sum(map(len, payloads)) + 1
             images, payloads = images * repeats, payloads * repeats
             single = pool.submit(payloads[:1], request_id="big-1")
@@ -346,6 +396,30 @@ class TestPoolLifecycle:
         with pytest.raises(DetectionError, match="shut down"):
             pool.submit([payload], request_id="late")
         pool.shutdown()  # idempotent
+
+    def test_shards_get_the_dispatchers_warning_options(self, benign_images, monkeypatch):
+        """A shard runs with the dispatcher's ``-W`` options, so a run with
+        warnings as errors covers the shards too."""
+        monkeypatch.setattr(sys, "warnoptions", ["error::DeprecationWarning"])
+        pipeline = calibrated_pipeline(benign_images)
+        pool = WorkerPool(
+            WorkerSpec.from_pipeline(pipeline),
+            WorkerPoolConfig(workers=1, **FAST_POOL),
+            metrics=pipeline.metrics,
+        )
+        pool.shard_command = (
+            sys.executable,
+            "-c",
+            "import sys; assert sys.warnoptions == ['error::DeprecationWarning'];"
+            " from repro.serving.workers import Shard; Shard.main()",
+        )
+        pool.start()
+        try:
+            payload = encode_image_payload(as_uint8(benign_images[0]))
+            assert pool.submit([payload], request_id="warned")["verdicts"]
+            assert pipeline.metrics.counter("workers.deaths").value == 0
+        finally:
+            pool.shutdown()
 
     def test_status_and_pids_expose_live_shards(self, pool_setup):
         pool, _ = pool_setup

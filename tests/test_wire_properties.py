@@ -16,23 +16,30 @@ Two families of property:
 
 from __future__ import annotations
 
+import os
 import random
+import struct
+import threading
 
 import numpy as np
 import pytest
 
 from repro.errors import CodecError
+from repro.serving.eventloop import MAX_BODY_BYTES
 from repro.serving.wire import (
     JOB_KINDS,
+    MAX_FRAME_BYTES,
     RESULT_KINDS,
     decode_image_payload,
     encode_image_payload,
     pack_batch,
     pack_job,
     pack_result,
+    read_frame,
     unpack_batch,
     unpack_job,
     unpack_result,
+    write_frame,
 )
 
 SEED = 0xDECA
@@ -173,3 +180,54 @@ class TestSingleByteCorruption:
         short = pack_batch([b"ok", b"job"])
         with pytest.raises(CodecError, match="fields, need 3"):
             unpack_result(short)
+
+
+class TestPipeFraming:
+    """``length:uint32 + frame`` records over a real OS pipe, as between a
+    dispatcher and a shard."""
+
+    @staticmethod
+    def _pipe():
+        read_fd, write_fd = os.pipe()
+        return open(read_fd, "rb", buffering=0), open(write_fd, "wb", buffering=0)
+
+    def test_frames_round_trip_whatever_their_size(self):
+        rng = random.Random(SEED + 3)
+        # Empty, small, and several times a pipe buffer: the writer loops
+        # over short writes while the reader drains on another thread.
+        frames = [b"", rng.randbytes(100), rng.randbytes(65536), rng.randbytes(3 << 20)]
+        reader, writer = self._pipe()
+        received = []
+
+        def drain() -> None:
+            while (frame := read_frame(reader)) is not None:
+                received.append(frame)
+
+        thread = threading.Thread(target=drain)
+        thread.start()
+        try:
+            for frame in frames:
+                write_frame(writer, frame)
+        finally:
+            writer.close()
+            thread.join(timeout=30.0)
+            reader.close()
+        assert received == frames
+
+    def test_a_short_read_is_an_end_of_file(self):
+        for torn in (b"", b"\x00\x00", struct.pack(">I", 10) + b"half!"):
+            reader, writer = self._pipe()
+            writer.write(torn)
+            writer.close()
+            with reader:
+                assert read_frame(reader) is None
+
+    def test_a_length_over_the_cap_is_refused_before_reading_on(self):
+        reader, writer = self._pipe()
+        with reader, writer:
+            writer.write(struct.pack(">I", MAX_FRAME_BYTES + 1) + b"body")
+            with pytest.raises(CodecError, match="over the"):
+                read_frame(reader, origin="worker-0")
+            assert reader.read(4) == b"body"  # nothing was consumed for it
+        # The largest job frame: a whole body plus ids from a 64 KiB head.
+        assert MAX_FRAME_BYTES >= MAX_BODY_BYTES + (64 << 10) + 64

@@ -2,7 +2,7 @@
 
 The serving stack's untrusted-input contract (docs/serving.md): bytes
 read off the wire — the HTTP body stream (``self.rfile.read``) or a
-worker pipe (``conn.recv_bytes``) — must pass a *decode/validate*
+shard pipe (``read_frame``) — must pass a *decode/validate*
 boundary (``decode_png`` / ``decode_netpbm`` / ``decode_image_payload`` /
 ``ensure_image``) before any ndarray construction or math touches them.
 The per-file ``validation-boundary`` pass checks one function at a time;

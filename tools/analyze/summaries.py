@@ -64,9 +64,10 @@ RELEASE_METHODS = {
     "cleanup",
 }
 
-#: Taint sources: reads off a connection/pipe, or ``.read()`` on an
-#: ``rfile``-ish receiver (the HTTP request body stream).
-_TAINT_RECV_CALLS = {"recv", "recv_bytes", "recv_into"}
+#: Taint sources: reads off a socket, a shard pipe's frame reader
+#: (``repro.serving.wire.read_frame``), or ``.read()`` on an ``rfile``-ish
+#: receiver (the HTTP request body stream).
+_TAINT_RECV_CALLS = {"recv", "recv_into", "read_frame"}
 _TAINT_READ_CALLS = {"read", "readline"}
 
 _HOLDS_LOCK_MARKERS = (
