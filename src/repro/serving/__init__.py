@@ -13,7 +13,7 @@ from repro.serving.client import DetectionClient, DetectionVerdict
 from repro.serving.pipeline import PipelineOutcome, PipelineStats, ProtectedPipeline
 from repro.serving.policy import Policy
 from repro.serving.server import DetectionServer, ServerConfig
-from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec
+from repro.serving.workers import WorkerPool, WorkerSpec
 
 __all__ = [
     "AuditLog",
@@ -27,6 +27,5 @@ __all__ = [
     "ProtectedPipeline",
     "ServerConfig",
     "WorkerPool",
-    "WorkerPoolConfig",
     "WorkerSpec",
 ]

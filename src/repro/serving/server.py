@@ -62,7 +62,7 @@ from repro.observability import render_process_metrics, render_prometheus
 from repro.serving.eventloop import DETECT_PATHS, EventLoopFrontend
 from repro.serving.pipeline import ProtectedPipeline, cache_stats
 from repro.serving.wire import METRICS_CONTENT_TYPE, unpack_batch
-from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec, score_job
+from repro.serving.workers import WorkerPool, WorkerSpec, score_job
 
 __all__ = ["ServerConfig", "DetectionServer", "WireResponse"]
 
@@ -87,8 +87,8 @@ class ServerConfig:
     #: Print one log line per request to stderr.
     verbose: bool = False
     #: Scoring shard processes (:mod:`repro.serving.workers`); 0 runs the
-    #: detect job in the dispatcher. The shard lifecycle keeps
-    #: :class:`WorkerPoolConfig`'s defaults.
+    #: detect job in the dispatcher. The shard count is the pool's only
+    #: setting: its heartbeat, deadlines and backoff are fixed.
     workers: int = 0
 
 
@@ -426,8 +426,7 @@ class DetectionServer:
         if self.config.workers <= 0 or self._pool is not None:
             return
         spec = WorkerSpec.from_pipeline(self.pipeline)
-        pool_config = WorkerPoolConfig(workers=self.config.workers)
-        self._pool = WorkerPool(spec, pool_config, metrics=self.metrics)
+        self._pool = WorkerPool(spec, self.config.workers, metrics=self.metrics)
         self._pool.start()
 
     def install_signal_handlers(self) -> None:

@@ -11,11 +11,13 @@ dispatch threads become thin dispatchers speaking the
   captured once from the parent's calibrated pipeline (the detectors are
   shipped with their thresholds, so shard verdicts are bit-for-bit what
   the parent would compute).
-* :class:`WorkerPool` — spawns N shards, routes jobs to the least-loaded
-  healthy one, and owns the lifecycle: per-worker heartbeats with a
-  liveness deadline, crash detection, automatic respawn under bounded
-  exponential backoff, and requeue-exactly-once failover for jobs that
-  were in flight on a dead shard (a second failure answers 503).
+* :class:`WorkerPool` — spawns N shards and routes jobs to the
+  least-loaded healthy one. Each shard has one supervisor thread that
+  owns its whole lifecycle: it reads the shard's frames, declares it dead
+  (end of file, a garbage frame, a job past its deadline, or silence past
+  the liveness deadline), reaps it, requeues its in-flight jobs exactly
+  once (a second failure answers 503), and respawns it under bounded
+  exponential backoff.
 * :func:`score_job` — the one detect job: decode, screen, serialize the
   verdicts. Shards run it; a server without shards runs it in the
   dispatcher.
@@ -50,6 +52,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from repro.core.ensemble import DetectionEnsemble
 from repro.errors import CodecError, DetectionError, ImageError, ReproError
@@ -70,7 +73,6 @@ from repro.serving.wire import (
 __all__ = [
     "Shard",
     "WorkerSpec",
-    "WorkerPoolConfig",
     "WorkerPool",
     "keep_scoring_arrays_on_heap",
     "score_job",
@@ -298,31 +300,25 @@ class Shard:
         return True
 
 
-# -- pool configuration ------------------------------------------------------
+# -- shard lifecycle timings ---------------------------------------------------
 
-
-@dataclass(frozen=True)
-class WorkerPoolConfig:
-    """Tunables for :class:`WorkerPool`."""
-
-    #: Number of shard processes; must be >= 1 (0 means "no pool at all"
-    #: and is the server's decision, not this class's).
-    workers: int = 2
-    #: An idle shard sends one heartbeat per interval.
-    heartbeat_interval_s: float = 0.25
-    #: An idle shard silent for longer than this is declared dead.
-    liveness_timeout_s: float = 10.0
-    #: A busy shard whose oldest in-flight job is older than this is
-    #: declared wedged (busy shards cannot heartbeat — they are scoring).
-    job_timeout_s: float = 30.0
-    #: Respawn backoff: ``base * 2**consecutive_failures``, capped at max.
-    restart_backoff_base_s: float = 0.1
-    restart_backoff_max_s: float = 5.0
-    #: Grace for a fresh process to import numpy and calibrate before the
-    #: liveness deadline applies (its first message ends the grace).
-    startup_grace_s: float = 60.0
-    #: How long shutdown waits for shards to drain before killing them.
-    drain_timeout_s: float = 10.0
+#: An idle shard sends one heartbeat per interval; a supervisor checks its
+#: shard's deadlines at least this often.
+_HEARTBEAT_INTERVAL_S = 0.25
+#: An idle shard silent for longer than this is declared dead.
+_LIVENESS_TIMEOUT_S = 10.0
+#: Grace for a fresh process to import numpy and build its pipeline
+#: before the liveness deadline applies (its first frame ends the grace).
+_STARTUP_GRACE_S = 60.0
+#: A busy shard whose oldest in-flight job is older than this is declared
+#: wedged (busy shards cannot heartbeat: they are scoring).
+_JOB_TIMEOUT_S = 30.0
+#: Respawn backoff: ``base * 2**failures``, capped at the max, where
+#: ``failures`` counts the incarnations in a row that died without a frame.
+_RESTART_BACKOFF_BASE_S = 0.1
+_RESTART_BACKOFF_MAX_S = 5.0
+#: How long shutdown waits for shards to drain before killing them.
+_DRAIN_TIMEOUT_S = 10.0
 
 
 # -- parent-side bookkeeping -------------------------------------------------
@@ -362,10 +358,9 @@ class _Job:
 class _WorkerHandle:
     """Parent-side view of one shard incarnation.
 
-    Mutable fields are guarded by the owning pool's lock; the handle object
-    itself doubles as the generation token (a respawn installs a brand-new
-    handle under the same worker id, so stale receiver threads compare
-    identity and stand down).
+    Mutable fields are guarded by the owning pool's lock. A respawn
+    installs a new handle under the same worker id; only the shard's
+    supervisor reads the process's stdout, reaps it, or marks it down.
     """
 
     __slots__ = (
@@ -374,27 +369,23 @@ class _WorkerHandle:
         "send_lock",
         "up",
         "ready",
-        "spawned_at",
         "last_seen",
         "restarts",
-        "consecutive_failures",
         "jobs",
         "jobs_done",
         "scored",
         "errors",
-        "respawn_at",
     )
 
-    def __init__(self, worker_id, process, restarts, consecutive) -> None:
+    def __init__(self, worker_id, process, restarts) -> None:
         self.worker_id = worker_id
         self.process = process  # a ``subprocess.Popen`` with stdin and stdout pipes
         self.send_lock = threading.Lock()
         self.up = True
+        #: set by the incarnation's first frame
         self.ready = False
-        self.spawned_at = time.monotonic()
-        self.last_seen = self.spawned_at
+        self.last_seen = time.monotonic()
         self.restarts = restarts
-        self.consecutive_failures = consecutive
         #: in-flight job_id -> dispatch timestamp
         self.jobs: dict[str, float] = {}
         self.jobs_done = 0
@@ -402,7 +393,6 @@ class _WorkerHandle:
         #: in ``ok`` results, and the ``err`` results
         self.scored = 0
         self.errors = 0
-        self.respawn_at: float | None = None
 
 
 def _error_from_wire(body: bytes) -> Exception:
@@ -426,12 +416,15 @@ def _error_from_wire(body: bytes) -> Exception:
 
 
 class WorkerPool:
-    """N scoring shards plus the lifecycle that keeps them answering.
+    """N scoring shards, each kept answering by its own supervisor thread.
 
     Thread-safety: ``_lock`` guards the worker table, the job table, and
-    the closed/started flags. Writes to a shard's stdin serialize on its
-    handle's ``send_lock``; its stdout is read by one receiver thread.
-    Process spawning, reaping, and pipe I/O all happen outside ``_lock``.
+    the started flag; ``_closed`` is set under it. Writes to a shard's
+    stdin serialize on its handle's ``send_lock``. Shard ``n``'s stdout is
+    read only by its supervisor, the thread ``worker-n``, which is also
+    the only thread that declares the shard dead, reaps it and respawns
+    it. Process spawning, reaping, and pipe I/O all happen outside
+    ``_lock``.
     """
 
     #: argv of every shard, run with the dispatcher's ``-W`` options and
@@ -440,92 +433,75 @@ class WorkerPool:
     shard_command = (sys.executable, "-c", "from repro.serving.workers import Shard; Shard.main()")
 
     def __init__(
-        self,
-        spec: WorkerSpec,
-        config: WorkerPoolConfig | None = None,
-        *,
-        metrics: Metrics | None = None,
+        self, spec: WorkerSpec, workers: int, *, metrics: Metrics | None = None
     ) -> None:
+        if workers < 1:
+            raise ReproError(f"workers must be >= 1, got {workers}")
         self.spec = spec
-        self.config = config or WorkerPoolConfig()
-        if self.config.workers < 1:
-            raise ReproError(f"workers must be >= 1, got {self.config.workers}")
+        self.workers = workers
         self.metrics = metrics or Metrics()
         self._lock = threading.Lock()
         self._workers: dict[int, _WorkerHandle] = {}
         self._jobs: dict[str, _Job] = {}
         self._job_counter = 0
         self._started = False
-        self._closed = False
-        self._wake = threading.Event()
-        self._monitor_thread: threading.Thread | None = None
+        self._closed = threading.Event()
+        self._supervisors: list[threading.Thread] = []
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn every shard and the liveness monitor; returns at once
-        (shards announce readiness via their first heartbeat)."""
+        """Spawn every shard and its supervisor; returns at once (shards
+        announce readiness with their first frame)."""
         with self._lock:
-            if self._closed:
+            if self._closed.is_set():
                 raise ReproError("worker pool is shut down")
             if self._started:
                 raise ReproError("worker pool is already started")
             self._started = True
-        for worker_id in range(self.config.workers):
-            self._spawn_worker(worker_id, restarts=0, consecutive=0)
-        self._monitor_thread = threading.Thread(
-            target=self._monitor_loop, name="worker-pool-monitor", daemon=True
-        )
-        self._monitor_thread.start()
+        for worker_id in range(self.workers):
+            handle = self._spawn(worker_id, restarts=0)
+            if handle is None:
+                return  # shut down while starting
+            supervisor = threading.Thread(
+                target=self._supervise, args=(handle,), name=f"worker-{worker_id}", daemon=True
+            )
+            supervisor.start()
+            self._supervisors.append(supervisor)
 
     def shutdown(self) -> None:
-        """Graceful drain: close every shard's stdin, wait for the shards to
-        answer what they hold and exit, kill stragglers, and fail any job
-        that somehow remained in flight."""
+        """Graceful drain: close every shard's stdin, let the supervisors
+        read the shards' last answers and reap them, kill shards still
+        busy at the drain deadline, then fail any job left unanswered."""
         with self._lock:
-            if self._closed:
+            if self._closed.is_set():
                 return
-            self._closed = True
+            self._closed.set()
             handles = list(self._workers.values())
-        self._wake.set()
-        deadline = time.monotonic() + self.config.drain_timeout_s
+        deadline = time.monotonic() + _DRAIN_TIMEOUT_S
         for handle in handles:
             if not handle.send_lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
                 # A dispatch thread is blocked writing a frame this shard
                 # is too busy to read: killing the shard fails that send
-                # with EPIPE, and the down-path answers its jobs.
+                # with EPIPE.
                 handle.process.kill()
                 continue
             try:
                 handle.process.stdin.close()
             finally:
                 handle.send_lock.release()
+        for supervisor in self._supervisors:
+            supervisor.join(max(0.0, deadline - time.monotonic()))
         for handle in handles:
-            try:
-                handle.process.wait(max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                handle.process.kill()
-                handle.process.wait()
-            self._close_pipe(handle)
-        if self._monitor_thread is not None:
-            self._monitor_thread.join(timeout=2.0)
+            handle.process.kill()  # a no-op on a shard its supervisor reaped
+        for supervisor in self._supervisors:
+            supervisor.join()
         with self._lock:
             leftover = list(self._jobs.values())
             self._jobs.clear()
         for job in leftover:
             job.error = DetectionError("worker pool shut down mid-request")
             job.done.set()
-
-    @staticmethod
-    def _close_pipe(handle: _WorkerHandle) -> None:
-        """Close the dispatcher's end of a shard's stdin between sends.
-
-        Closing under a sender would let its next write hit a closed, or
-        reused, fd. Callers make the shard exit first, so a sender blocked
-        on it fails with EPIPE and lets go of the lock.
-        """
-        with handle.send_lock:
-            handle.process.stdin.close()
 
     # -- introspection -------------------------------------------------------
 
@@ -604,7 +580,7 @@ class WorkerPool:
         DetectionError when no shard can answer or the reply is malformed).
         """
         with self._lock:
-            if self._closed:
+            if self._closed.is_set():
                 raise DetectionError("worker pool is shut down")
             if not self._started:
                 raise ReproError("worker pool is not started")
@@ -618,7 +594,7 @@ class WorkerPool:
         start = time.perf_counter()
         self._dispatch(job, target)
         # Worst case one failover: two job timeouts plus scheduling slack.
-        if not job.done.wait(self.config.job_timeout_s * 2 + 5.0):
+        if not job.done.wait(_JOB_TIMEOUT_S * 2 + 5.0):
             with self._lock:
                 self._jobs.pop(job_id, None)
                 owner = self._workers.get(job.worker_id)
@@ -677,39 +653,14 @@ class WorkerPool:
             with handle.send_lock:
                 write_frame(handle.process.stdin, frame)
         except (OSError, ValueError):
-            # The pipe died under us: the down-path requeues (or fails)
-            # every job this shard held, including the one just registered.
-            self._worker_down(handle, reason="pipe send failed")
+            # The shard is gone, or its stdin was closed: its supervisor
+            # fails this job over with the rest the shard held. A drain
+            # leaves the shard to answer what it already has, and
+            # shutdown fails this job.
+            if not self._closed.is_set():
+                handle.process.kill()
 
     # -- failure handling ----------------------------------------------------
-
-    def _worker_down(self, handle: _WorkerHandle, *, reason: str) -> None:
-        """Declare one shard incarnation dead: fail it over and schedule a
-        respawn under backoff. Idempotent per incarnation."""
-        with self._lock:
-            if not handle.up or self._workers.get(handle.worker_id) is not handle:
-                return
-            handle.up = False
-            orphans = [
-                self._jobs[job_id] for job_id in handle.jobs if job_id in self._jobs
-            ]
-            handle.jobs.clear()
-            closing = self._closed
-            if not closing:
-                backoff = min(
-                    self.config.restart_backoff_base_s
-                    * (2 ** min(handle.consecutive_failures, 16)),
-                    self.config.restart_backoff_max_s,
-                )
-                handle.respawn_at = time.monotonic() + backoff
-        self.metrics.counter("workers.deaths").add(1)
-        if not closing:
-            handle.process.kill()  # a no-op on a shard that already exited
-        self._close_pipe(handle)
-        handle.process.wait()  # reaped here, never left a zombie
-        self._wake.set()
-        for job in orphans:
-            self._failover(job, exclude=handle.worker_id, reason=reason)
 
     def _failover(self, job: _Job, *, exclude: int, reason: str) -> None:
         """Requeue one orphaned job exactly once; a second strike fails it."""
@@ -746,32 +697,6 @@ class WorkerPool:
         job.error = error
         job.done.set()
 
-    # -- per-shard receiver --------------------------------------------------
-
-    def _receive_loop(self, handle: _WorkerHandle) -> None:
-        origin = f"worker-{handle.worker_id}"
-        while True:
-            try:
-                frame = read_frame(handle.process.stdout, origin=origin)
-                if frame is None:
-                    break
-                kind, job_id, body = unpack_result(frame, origin=origin)
-            except OSError:
-                break
-            except CodecError:
-                # A shard emitting unparseable frames can no longer be
-                # trusted to pair results with jobs: recycle it.
-                self.metrics.counter("workers.garbage_frames").add(1)
-                break
-            with self._lock:
-                handle.last_seen = time.monotonic()
-                handle.ready = True
-                handle.consecutive_failures = 0
-            if kind != "hb":
-                self._complete(handle, job_id, kind, body)
-        handle.process.stdout.close()  # this thread is its only reader
-        self._worker_down(handle, reason="worker pipe closed")
-
     def _complete(
         self, handle: _WorkerHandle, job_id: str, kind: str, body: bytes
     ) -> None:
@@ -790,9 +715,91 @@ class WorkerPool:
         job.body = body
         job.done.set()
 
-    # -- spawn + monitor -----------------------------------------------------
+    # -- the supervisor --------------------------------------------------------
 
-    def _spawn_worker(self, worker_id: int, *, restarts: int, consecutive: int) -> None:
+    def _supervise(self, handle: _WorkerHandle) -> None:
+        """Shard ``handle.worker_id``'s one lifecycle thread: read the
+        incarnation's frames until it is dead, reap it, fail its jobs
+        over, wait out the backoff and spawn the next incarnation. Returns
+        once the pool is closed and the shard is reaped."""
+        worker_id = handle.worker_id
+        failures = 0  # incarnations in a row that died without a frame
+        while True:
+            reason = self._read_until_dead(handle)
+            with self._lock:
+                handle.up = False
+                orphans = [self._jobs[job_id] for job_id in handle.jobs if job_id in self._jobs]
+                handle.jobs.clear()
+                closing = self._closed.is_set()
+            handle.process.kill()  # a no-op on a shard that already exited
+            handle.process.wait()
+            # Closed between sends, so no write hits a closed or reused fd;
+            # a sender blocked on the dead shard fails with EPIPE first.
+            with handle.send_lock:
+                handle.process.stdin.close()
+            handle.process.stdout.close()
+            if closing:
+                return  # a drain, not a death: shutdown fails what is left
+            self.metrics.counter("workers.deaths").add(1)
+            for job in orphans:
+                self._failover(job, exclude=worker_id, reason=reason)
+            if handle.ready:
+                failures = 0
+            backoff = min(
+                _RESTART_BACKOFF_BASE_S * 2 ** min(failures, 16), _RESTART_BACKOFF_MAX_S
+            )
+            failures += 1
+            if self._closed.wait(backoff):
+                return
+            handle = self._spawn(worker_id, restarts=handle.restarts + 1)
+            if handle is None:
+                return
+
+    def _read_until_dead(self, handle: _WorkerHandle) -> str:
+        """Read one incarnation's frames, completing its jobs, until it is
+        dead; returns why. Each read waits one heartbeat interval at a
+        time and checks the deadlines in between, part-way through a frame
+        too: a shard frozen mid-frame sends no end of file."""
+        stdout = handle.process.stdout
+        origin = f"worker-{handle.worker_id}"
+        reason: str | None = None
+
+        def read(size: int) -> bytes:
+            nonlocal reason
+            while not select.select([stdout], [], [], _HEARTBEAT_INTERVAL_S)[0]:
+                with self._lock:
+                    reason = self._death_reason_locked(handle, time.monotonic())
+                if reason is not None:
+                    return b""  # read_frame takes it for an end of file
+            return stdout.read(size)
+
+        paced = SimpleNamespace(read=read)
+        while True:
+            try:
+                frame = read_frame(paced, origin=origin)
+                if frame is None:
+                    return reason or "worker pipe closed"
+                kind, job_id, body = unpack_result(frame, origin=origin)
+            except OSError:
+                return "worker pipe closed"
+            except CodecError:
+                # A shard emitting unparseable frames can no longer be
+                # trusted to pair results with jobs: recycle it.
+                self.metrics.counter("workers.garbage_frames").add(1)
+                return "garbage frame"
+            if kind != "hb":
+                self._complete(handle, job_id, kind, body)
+            now = time.monotonic()
+            with self._lock:
+                handle.last_seen = now
+                handle.ready = True
+                reason = self._death_reason_locked(handle, now)
+            if reason is not None:
+                return reason
+
+    def _spawn(self, worker_id: int, *, restarts: int) -> _WorkerHandle | None:
+        """Start and register one shard incarnation; None once the pool is
+        closed."""
         command = self.shard_command
         process = subprocess.Popen(
             [command[0], *(f"-W{option}" for option in sys.warnoptions), *command[1:]],
@@ -801,82 +808,37 @@ class WorkerPool:
             bufsize=0,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
-        spec = (self.spec, worker_id, restarts, self.config.heartbeat_interval_s)
+        spec = (self.spec, worker_id, restarts, _HEARTBEAT_INTERVAL_S)
         try:
             write_frame(process.stdin, pickle.dumps(spec))
         except OSError:
-            pass  # the child is gone already; its receiver reads the end of file
-        handle = _WorkerHandle(worker_id, process, restarts, consecutive)
+            pass  # the child is gone already; its supervisor reads the end of file
+        handle = _WorkerHandle(worker_id, process, restarts)
         with self._lock:
-            aborted = self._closed
+            aborted = self._closed.is_set()
             if not aborted:
                 self._workers[worker_id] = handle
         if aborted:
-            # Shutdown won the race with this respawn: reap the process
+            # Shutdown won the race with this spawn: reap the process
             # instead of leaking it past the pool's lifetime.
             process.kill()
             process.wait()
             process.stdin.close()
             process.stdout.close()
-            return
-        receiver = threading.Thread(
-            target=self._receive_loop,
-            args=(handle,),
-            name=f"worker-{worker_id}-rx",
-            daemon=True,
-        )
-        receiver.start()
+            return None
         if restarts:
             self.metrics.counter("workers.restarts").add(1)
-
-    def _monitor_loop(self) -> None:
-        interval = max(0.01, min(self.config.heartbeat_interval_s / 2, 0.25))
-        while True:
-            self._wake.wait(interval)
-            self._wake.clear()
-            now = time.monotonic()
-            dead: list[tuple[_WorkerHandle, str]] = []
-            respawn: list[tuple[int, int, int]] = []
-            with self._lock:
-                if self._closed:
-                    return
-                for handle in self._workers.values():
-                    if handle.up:
-                        reason = self._death_reason_locked(handle, now)
-                        if reason is not None:
-                            dead.append((handle, reason))
-                    elif handle.respawn_at is not None and now >= handle.respawn_at:
-                        handle.respawn_at = None
-                        respawn.append(
-                            (
-                                handle.worker_id,
-                                handle.restarts + 1,
-                                handle.consecutive_failures + 1,
-                            )
-                        )
-            for handle, reason in dead:
-                self._worker_down(handle, reason=reason)
-            for worker_id, restarts, consecutive in respawn:
-                self._spawn_worker(
-                    worker_id, restarts=restarts, consecutive=consecutive
-                )
+        return handle
 
     def _death_reason_locked(self, handle: _WorkerHandle, now: float) -> str | None:
-        """Liveness verdict for one live handle (caller holds the lock)."""
-        if handle.process.poll() is not None:
-            return f"worker process exited (code {handle.process.returncode})"
+        """Why a shard that has not closed its pipe counts as dead by the
+        clock, or None (caller holds the lock)."""
         if handle.jobs:
             oldest = min(handle.jobs.values())
-            if now - oldest > self.config.job_timeout_s:
-                return (
-                    f"oldest in-flight job exceeded {self.config.job_timeout_s:.1f}s"
-                )
+            if now - oldest > _JOB_TIMEOUT_S:
+                return f"oldest in-flight job exceeded {_JOB_TIMEOUT_S:.1f}s"
             return None
-        deadline = (
-            self.config.liveness_timeout_s
-            if handle.ready
-            else self.config.startup_grace_s
-        )
+        deadline = _LIVENESS_TIMEOUT_S if handle.ready else _STARTUP_GRACE_S
         if now - handle.last_seen > deadline:
             return f"no heartbeat for {now - handle.last_seen:.1f}s"
         return None

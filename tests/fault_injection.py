@@ -3,13 +3,16 @@
 Four families of controlled failure, all stdlib:
 
 * :class:`Fault` / :class:`FaultyShard` — typed shard faults (kill,
-  kill-after, kill-mid-frame, mute, garbage, slow, chatty; one shard or
+  kill-after, kill-mid-frame, stall-mid-frame, mute, garbage, slow,
+  chatty; one shard or
   :data:`EVERY_SHARD`) played by a :class:`~repro.serving.workers.Shard`
   subclass. A shard is a fresh interpreter, so monkeypatching does not
   reach it: the faults travel in the argv of the command the pool starts
   (:func:`faulty_shard_command`); :func:`make_pool` installs it on one
   pool, and server-level tests monkeypatch ``WorkerPool.shard_command``
-  itself.
+  itself. :func:`fast_lifecycle` shortens the pool's heartbeat,
+  deadlines and backoff (a shard learns its heartbeat interval from its
+  spec frame, so the patch reaches it too).
 * :func:`tear_slot` / :func:`flip_byte` / :func:`free_all_slots` — edit
   a live :class:`~repro.serving.shm.ShmRing` segment the way a writer
   dying mid-copy or a stray byte would (the ring's own property tests).
@@ -42,22 +45,31 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.datasets.synthetic import generate_image
+from repro.serving import workers
 from repro.serving.pipeline import ProtectedPipeline
 from repro.serving.shm import SLOT_FREE, SLOT_WRITING, RingFull, ShmRing
-from repro.serving.workers import Shard, WorkerPool, WorkerPoolConfig, WorkerSpec
+from repro.serving.workers import Shard, WorkerPool, WorkerSpec
 
 SOURCE_SHAPE = (128, 128)
 MODEL_INPUT = (16, 16)
 
-#: Lifecycle knobs tightened so fault tests converge in seconds: fast
-#: heartbeats, a short liveness deadline, and near-immediate respawn.
-FAST_POOL = dict(
-    heartbeat_interval_s=0.05,
-    liveness_timeout_s=1.0,
-    job_timeout_s=20.0,
-    restart_backoff_base_s=0.05,
-    restart_backoff_max_s=0.5,
-)
+#: Shard lifecycle timings tightened so fault tests converge in seconds:
+#: fast heartbeats, a short liveness deadline, and near-immediate respawn.
+FAST_LIFECYCLE = {
+    "_HEARTBEAT_INTERVAL_S": 0.05,
+    "_LIVENESS_TIMEOUT_S": 1.0,
+    "_JOB_TIMEOUT_S": 20.0,
+    "_RESTART_BACKOFF_BASE_S": 0.05,
+    "_RESTART_BACKOFF_MAX_S": 0.5,
+}
+
+
+def fast_lifecycle(monkeypatch) -> None:
+    """Give every shard pool started in this test the
+    :data:`FAST_LIFECYCLE` timings; a test that needs one other value
+    patches that one constant of :mod:`repro.serving.workers` after."""
+    for name, value in FAST_LIFECYCLE.items():
+        monkeypatch.setattr(workers, name, value)
 
 
 def calibrated_pipeline(benign_images, **kwargs) -> ProtectedPipeline:
@@ -67,15 +79,10 @@ def calibrated_pipeline(benign_images, **kwargs) -> ProtectedPipeline:
     return pipeline
 
 
-def make_pool(
-    pipeline: ProtectedPipeline, *, workers: int = 2, faults=(), **overrides
-) -> WorkerPool:
-    """A started shard pool over *pipeline*, tuned for test turnaround,
-    whose shards play *faults* (a sequence of :class:`Fault`)."""
-    config = WorkerPoolConfig(workers=workers, **{**FAST_POOL, **overrides})
-    pool = WorkerPool(
-        WorkerSpec.from_pipeline(pipeline), config, metrics=pipeline.metrics
-    )
+def make_pool(pipeline: ProtectedPipeline, *, workers: int = 2, faults=()) -> WorkerPool:
+    """A started shard pool over *pipeline* whose shards play *faults* (a
+    sequence of :class:`Fault`)."""
+    pool = WorkerPool(WorkerSpec.from_pipeline(pipeline), workers, metrics=pipeline.metrics)
     if faults:
         pool.shard_command = faulty_shard_command(faults)
     pool.start()
@@ -92,6 +99,8 @@ class FaultKind(enum.Enum):
     KILL_AFTER = "kill-after"
     #: write the reply's length header and half its bytes, then exit
     KILL_MID_FRAME = "kill-mid-frame"
+    #: write the reply's length header and half its bytes, then hang
+    STALL_MID_FRAME = "stall-mid-frame"
     #: send one heartbeat, then fall silent
     MUTE = "mute"
     #: reply with an unframed blob
@@ -194,6 +203,14 @@ class FaultyShard(Shard):
                 )
             finally:
                 os._exit(172)
+        if FaultKind.STALL_MID_FRAME in self.faults:
+            # Alive, pipe open, frozen half-way through the reply: no end
+            # of file ever comes, so only the job deadline can end it.
+            os.write(
+                self.frames_out.fileno(),
+                struct.pack(">I", len(frame)) + frame[: len(frame) // 2],
+            )
+            time.sleep(3600)
         if FaultKind.KILL_AFTER in self.faults:
             os._exit(171)  # simulated crash after scoring, before replying
         if FaultKind.GARBAGE in self.faults:

@@ -250,6 +250,7 @@ def test_deprecated_import_from_wrong_module_is_flagged():
         "import repro.serving.shm as shm\n\nREF = shm.decode_slot_ref(b'')\n",
         "def ring(geometry):\n    return geometry.radial_sorted, geometry.herm_by_radial\n",
         "from repro.imaging.plans import plan_cache_keys\n\nKEYS = plan_cache_keys()\n",
+        "from repro.serving.workers import WorkerPoolConfig\n\nWorkerPoolConfig(workers=2)\n",
     ],
 )
 def test_removed_scoring_paths_are_flagged(source):

@@ -110,13 +110,13 @@ _POOL_SCRIPT = textwrap.dedent(
     from repro.datasets.synthetic import generate_image
     from repro.serving import ProtectedPipeline
     from repro.serving.wire import encode_image_payload
-    from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec
+    from repro.serving.workers import WorkerPool, WorkerSpec
 
     rng = np.random.default_rng(0)
     images = [generate_image((64, 64), rng) for _ in range(5)]
     pipeline = ProtectedPipeline((16, 16))
     pipeline.calibrate(images[:4], percentile=5.0)
-    pool = WorkerPool(WorkerSpec.from_pipeline(pipeline), WorkerPoolConfig(workers=2))
+    pool = WorkerPool(WorkerSpec.from_pipeline(pipeline), 2)
     pool.start()
     reply = pool.submit([encode_image_payload(images[4])], request_id="footprint")
     assert len(reply["verdicts"]) == 1

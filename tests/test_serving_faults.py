@@ -20,29 +20,33 @@ import socket
 import struct
 import threading
 import time
-from functools import partial
 
 import pytest
 
 from repro.errors import DetectionError
 from repro.imaging.image import as_uint8
 from repro.serving import DetectionClient, DetectionServer, ServerConfig
-from repro.serving import server as server_module
+from repro.serving import workers as worker_module
 from repro.serving.pipeline import verdict_payload
 from repro.serving.wire import encode_image_payload
-from repro.serving.workers import WorkerPool, WorkerPoolConfig
+from repro.serving.workers import WorkerPool
 
 from tests.conftest import wait_until
 from tests.fault_injection import (
     EVERY_SHARD,
-    FAST_POOL,
     Fault,
     FaultKind,
     calibrated_pipeline,
+    fast_lifecycle,
     faulty_shard_command,
     make_pool,
     shard_faults,
 )
+
+
+@pytest.fixture(autouse=True)
+def _fast_lifecycle(monkeypatch):
+    fast_lifecycle(monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -191,18 +195,14 @@ class TestRespawn:
             pool.shutdown()
 
     def test_muted_shard_hits_liveness_deadline_and_is_recycled(
-        self, benign_images
+        self, benign_images, monkeypatch
     ):
         """A shard that sends one heartbeat then goes silent must be
         declared dead by the liveness deadline and respawned — without any
         job traffic to expose it."""
+        monkeypatch.setattr(worker_module, "_LIVENESS_TIMEOUT_S", 0.5)
         pipeline = calibrated_pipeline(benign_images)
-        pool = make_pool(
-            pipeline,
-            workers=1,
-            faults=[Fault(FaultKind.MUTE, 0)],
-            liveness_timeout_s=0.5,
-        )
+        pool = make_pool(pipeline, workers=1, faults=[Fault(FaultKind.MUTE, 0)])
         try:
             wait_until(
                 lambda: _restarts(pool, 0) >= 1,
@@ -273,22 +273,46 @@ class TestMidFrameKill:
         finally:
             pool.shutdown()
 
+    def test_frozen_mid_frame_is_recycled_at_the_job_deadline(
+        self, benign_images, payload, monkeypatch
+    ):
+        """Worker 0 writes half its reply and hangs with its pipe open, so
+        no end of file comes. The job deadline must still recycle it while
+        the frame is half read, and requeue the job exactly once."""
+        monkeypatch.setattr(worker_module, "_JOB_TIMEOUT_S", 2.0)
+        pipeline = calibrated_pipeline(benign_images)
+        pool = make_pool(
+            pipeline, workers=2, faults=[Fault(FaultKind.STALL_MID_FRAME, 0)]
+        )
+        try:
+            wait_until(
+                lambda: all(status["ready"] for status in pool.worker_status()),
+                timeout_s=30.0,
+                message="both shards to boot",
+            )
+            reply = pool.submit([payload], request_id="req-frozen-frame")
+            assert reply["verdicts"][0]["request_id"] == "req-frozen-frame"
+            assert pipeline.metrics.counter("workers.requeued").value == 1
+            wait_until(
+                lambda: _restarts(pool, 0) >= 1,
+                timeout_s=30.0,
+                message="worker 0 to respawn",
+            )
+        finally:
+            pool.shutdown()
+
 
 class TestShutdownBound:
-    def test_shutdown_does_not_wait_on_a_blocked_sender(self, benign_images):
+    def test_shutdown_does_not_wait_on_a_blocked_sender(self, benign_images, monkeypatch):
         """A dispatch thread writing a frame larger than the pipe buffer
         to a busy shard holds that shard's send lock until the shard reads
         the frame. Shutdown must not wait for it past the drain deadline:
         it kills the shard, the blocked send fails, and both callers get
         an answer."""
-        pipeline = calibrated_pipeline(benign_images)
         drain_timeout_s = 0.5
-        pool = make_pool(
-            pipeline,
-            workers=1,
-            faults=[Fault(FaultKind.SLOW, 0, seconds=3.0)],
-            drain_timeout_s=drain_timeout_s,
-        )
+        monkeypatch.setattr(worker_module, "_DRAIN_TIMEOUT_S", drain_timeout_s)
+        pipeline = calibrated_pipeline(benign_images)
+        pool = make_pool(pipeline, workers=1, faults=[Fault(FaultKind.SLOW, 0, seconds=3.0)])
         pids = list(pool.pids().values())
         big = b"\x00" * (2 << 20)  # never decoded: the shard dies first
         returned: list[str] = []
@@ -335,6 +359,36 @@ class TestShutdownBound:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_shutdown_answers_the_job_in_flight(self, benign_images, payload):
+        """A job the shard is scoring when shutdown starts is answered,
+        not failed as shut down mid-request: shutdown joins the shard's
+        supervisor, which reads the last answer, before it fails what is
+        left."""
+        pipeline = calibrated_pipeline(benign_images)
+        pool = make_pool(pipeline, workers=1, faults=[Fault(FaultKind.SLOW, 0, seconds=0.3)])
+        result: dict = {}
+
+        def submit() -> None:
+            try:
+                result["reply"] = pool.submit([payload], request_id="req-drained")
+            except DetectionError as exc:
+                result["error"] = exc
+
+        caller = threading.Thread(target=submit)
+        caller.start()
+        try:
+            wait_until(
+                lambda: pool.worker_status()[0]["inflight"] == 1,
+                timeout_s=30.0,
+                message="the job to be dispatched",
+            )
+        finally:
+            pool.shutdown()
+            caller.join(timeout=30.0)
+        assert not caller.is_alive()
+        assert "error" not in result, result.get("error")
+        assert result["reply"]["verdicts"][0]["request_id"] == "req-drained"
 
 
 def _read_http_response(sock: socket.socket) -> bytes:
@@ -485,16 +539,6 @@ class TestEventLoopFaults:
             )
 
 
-def _fast_server_pool(monkeypatch, **overrides) -> None:
-    """Give the server's shard pool the fast test lifecycle: the server
-    builds ``WorkerPoolConfig(workers=...)`` with the class defaults."""
-    monkeypatch.setattr(
-        server_module,
-        "WorkerPoolConfig",
-        partial(WorkerPoolConfig, **{**FAST_POOL, **overrides}),
-    )
-
-
 class TestServerUnderFaults:
     def test_all_shards_down_is_a_clean_503_then_recovery(
         self, benign_images, monkeypatch
@@ -506,7 +550,6 @@ class TestServerUnderFaults:
         monkeypatch.setattr(
             WorkerPool, "shard_command", faulty_shard_command([Fault(FaultKind.KILL, 0)])
         )
-        _fast_server_pool(monkeypatch)
         server = DetectionServer(pipeline, ServerConfig(port=0, workers=1))
         server.start()
         body = encode_image_payload(as_uint8(benign_images[0]))
@@ -540,14 +583,11 @@ class TestServerUnderFaults:
         monkeypatch.setattr(
             WorkerPool, "shard_command", faulty_shard_command([Fault(FaultKind.MUTE, 0)])
         )
+        monkeypatch.setattr(worker_module, "_LIVENESS_TIMEOUT_S", 0.5)
         # Backoff far past the test horizon: the outage stays observable
         # instead of healing under the assertion.
-        _fast_server_pool(
-            monkeypatch,
-            liveness_timeout_s=0.5,
-            restart_backoff_base_s=60.0,
-            restart_backoff_max_s=60.0,
-        )
+        monkeypatch.setattr(worker_module, "_RESTART_BACKOFF_BASE_S", 60.0)
+        monkeypatch.setattr(worker_module, "_RESTART_BACKOFF_MAX_S", 60.0)
         server = DetectionServer(pipeline, ServerConfig(port=0, workers=1))
         server.start()
         try:

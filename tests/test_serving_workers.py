@@ -29,15 +29,10 @@ from repro.serving.wire import (
     unpack_result,
     write_frame,
 )
-from repro.serving.workers import WorkerPool, WorkerPoolConfig, WorkerSpec
+from repro.serving.workers import WorkerPool, WorkerSpec
 
 from tests.conftest import MODEL_INPUT
-from tests.fault_injection import (
-    FAST_POOL,
-    calibrated_pipeline,
-    holdout_images,
-    make_pool,
-)
+from tests.fault_injection import calibrated_pipeline, holdout_images, make_pool
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +40,7 @@ def pool_setup():
     """One calibrated pipeline + a started 2-shard pool, shared across the
     module (spawning a shard imports numpy from scratch — not cheap)."""
     pipeline = calibrated_pipeline(holdout_images())
-    pool = WorkerPool(
-        WorkerSpec.from_pipeline(pipeline),
-        WorkerPoolConfig(workers=2, **FAST_POOL),
-        metrics=pipeline.metrics,
-    )
-    pool.start()
+    pool = make_pool(pipeline, workers=2)
     yield pool, pipeline
     pool.shutdown()
 
@@ -210,7 +200,7 @@ class TestPoolScoring:
 
     def test_concurrent_batches_count_every_image_once(self, pool_setup):
         """Dispatch threads submit batches to both shards while their
-        receiver threads count: a batch adds one job and one image per
+        supervisor threads count: a batch adds one job and one image per
         payload, and no count is lost."""
         pool, _ = pool_setup
         payload = encode_image_payload(as_uint8(holdout_images(1)[0]))
@@ -377,14 +367,11 @@ class TestPoolLifecycle:
     def test_config_rejects_zero_workers(self, benign_images):
         spec = WorkerSpec.from_pipeline(calibrated_pipeline(benign_images))
         with pytest.raises(ReproError, match="workers must be >= 1"):
-            WorkerPool(spec, WorkerPoolConfig(workers=0))
+            WorkerPool(spec, 0)
 
     def test_submit_before_start_and_after_shutdown_refused(self, benign_images):
         pipeline = calibrated_pipeline(benign_images)
-        pool = WorkerPool(
-            WorkerSpec.from_pipeline(pipeline),
-            WorkerPoolConfig(workers=1, **FAST_POOL),
-        )
+        pool = WorkerPool(WorkerSpec.from_pipeline(pipeline), 1)
         payload = encode_image_payload(as_uint8(benign_images[0]))
         with pytest.raises(ReproError, match="not started"):
             pool.submit([payload], request_id="early")
@@ -402,11 +389,7 @@ class TestPoolLifecycle:
         warnings as errors covers the shards too."""
         monkeypatch.setattr(sys, "warnoptions", ["error::DeprecationWarning"])
         pipeline = calibrated_pipeline(benign_images)
-        pool = WorkerPool(
-            WorkerSpec.from_pipeline(pipeline),
-            WorkerPoolConfig(workers=1, **FAST_POOL),
-            metrics=pipeline.metrics,
-        )
+        pool = WorkerPool(WorkerSpec.from_pipeline(pipeline), 1, metrics=pipeline.metrics)
         pool.shard_command = (
             sys.executable,
             "-c",
@@ -420,6 +403,31 @@ class TestPoolLifecycle:
             assert pipeline.metrics.counter("workers.deaths").value == 0
         finally:
             pool.shutdown()
+
+    def test_one_supervisor_thread_per_shard(self, benign_images):
+        """A started pool runs one thread per shard, ``worker-<id>``, and
+        nothing else; none outlives ``shutdown()``."""
+        pipeline = calibrated_pipeline(benign_images)
+        before = set(threading.enumerate())
+        pool = make_pool(pipeline, workers=2)
+        try:
+            threads = set(threading.enumerate()) - before
+            assert sorted(thread.name for thread in threads) == ["worker-0", "worker-1"]
+        finally:
+            pool.shutdown()
+        assert not [thread.name for thread in threads if thread.is_alive()]
+
+    def test_a_graceful_drain_is_not_a_death(self, benign_images):
+        """Shutdown closes every shard's stdin and each shard exits at
+        that end of file: ``workers.deaths`` stays 0."""
+        pipeline = calibrated_pipeline(benign_images)
+        pool = make_pool(pipeline, workers=2)
+        try:
+            payload = encode_image_payload(as_uint8(benign_images[0]))
+            assert pool.submit([payload], request_id="drained")["verdicts"]
+        finally:
+            pool.shutdown()
+        assert pipeline.metrics.counter("workers.deaths").value == 0
 
     def test_status_and_pids_expose_live_shards(self, pool_setup):
         pool, _ = pool_setup

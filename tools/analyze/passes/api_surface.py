@@ -157,6 +157,12 @@ DEPRECATED_NAMES: dict[str, dict] = {
             "warm_geometry_keys",
         )
     },
+    # The shard count is the pool's only setting; its lifecycle timings
+    # are module constants of repro.serving.workers.
+    "WorkerPoolConfig": {
+        "hint": "pass `workers` to `WorkerPool`",
+        "allowed_owners": set(),
+    },
 }
 
 
